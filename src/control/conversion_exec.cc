@@ -13,35 +13,33 @@
 
 namespace flattree {
 
+namespace {
+
+// Argument checks: the conditions are written so NaN (which compares false
+// against every bound) fails them too.
+void require(bool ok, const char* message) {
+  if (!ok) throw std::invalid_argument(message);
+}
+
+bool names_switch(const Graph& graph, NodeId n) {
+  return n.index() < graph.node_count() && is_switch(graph.node(n).role);
+}
+
+}  // namespace
+
 void ControlChannelOptions::validate() const {
-  // Negated conjunctions so NaN (which compares false against every bound)
-  // is rejected too.
-  if (!(drop_probability >= 0.0 && drop_probability < 1.0)) {
-    throw std::invalid_argument(
-        "ControlChannelOptions: drop_probability must be in [0, 1)");
-  }
-  if (!(delay_s >= 0.0)) {
-    throw std::invalid_argument("ControlChannelOptions: delay_s must be >= 0");
-  }
-  if (!(timeout_s > 0.0)) {
-    throw std::invalid_argument("ControlChannelOptions: timeout_s must be > 0");
-  }
-  if (!(backoff >= 1.0)) {
-    throw std::invalid_argument("ControlChannelOptions: backoff must be >= 1");
-  }
-  if (!(jitter >= 0.0 && jitter <= 1.0)) {
-    throw std::invalid_argument(
-        "ControlChannelOptions: jitter must be in [0, 1]");
-  }
-  if (max_attempts == 0) {
-    throw std::invalid_argument(
-        "ControlChannelOptions: max_attempts must be >= 1");
-  }
+  require(drop_probability >= 0.0 && drop_probability < 1.0,
+          "ControlChannelOptions: drop_probability must be in [0, 1)");
+  require(delay_s >= 0.0, "ControlChannelOptions: delay_s must be >= 0");
+  require(timeout_s > 0.0, "ControlChannelOptions: timeout_s must be > 0");
+  require(backoff >= 1.0, "ControlChannelOptions: backoff must be >= 1");
+  require(jitter >= 0.0 && jitter <= 1.0,
+          "ControlChannelOptions: jitter must be in [0, 1]");
+  require(max_attempts != 0,
+          "ControlChannelOptions: max_attempts must be >= 1");
   for (double d : switch_delay_s) {
-    if (!(d >= 0.0)) {
-      throw std::invalid_argument(
-          "ControlChannelOptions: switch_delay_s entries must be >= 0");
-    }
+    require(d >= 0.0,
+            "ControlChannelOptions: switch_delay_s entries must be >= 0");
   }
 }
 
@@ -121,6 +119,49 @@ struct ChannelOutcome {
   std::uint32_t dropped{0};
 };
 
+// Make-before-break patches (under a storm) and storm re-plans land as
+// batches of at most this many rule operations, each committed on its own
+// ack: a failure landing mid-patch is observed within one batch.
+constexpr std::uint64_t kPatchBatchRules = 256;
+
+// What a step boundary tells the phase that reached it.
+enum class Boundary : std::uint8_t {
+  kContinue,
+  kRescan,  // the standby took over: rescan from durable state
+  kAbort,   // a pre-commit re-plan exhausted its retries: roll back
+};
+
+// How much a step boundary may decide for its caller.
+enum class Gate : std::uint8_t {
+  kAbortable,   // a forward staged step before the commit point is next
+  kBestEffort,  // mid-pass, post-commit, rollback or the atomic baseline
+  kDrain,       // a stage's closing fold: storm only, no takeover
+};
+
+// A stage's phases, in the order its protocol runs them (see the header
+// comment); a failed phase rolls the applied ones back in reverse.
+enum class Phase : std::uint8_t { kOcs, kRuleSweep, kEpochFlip, kGcSweep };
+
+constexpr Phase kStagedPhases[] = {Phase::kOcs, Phase::kRuleSweep,
+                                   Phase::kEpochFlip, Phase::kGcSweep};
+constexpr Phase kAtomicPhases[] = {Phase::kGcSweep, Phase::kOcs,
+                                   Phase::kRuleSweep, Phase::kEpochFlip};
+
+// One from -> to mini-conversion and the durable state its phases leave.
+struct Stage {
+  const CompiledMode* from{nullptr};  // the last checkpoint's mode
+  const std::vector<std::vector<Path>>* from_routes{nullptr};  // its routes
+  const CompiledMode* to{nullptr};
+  std::uint32_t epoch{0};     // the epoch committing this stage flips to
+  std::uint32_t ocs_base{0};  // global index of the stage's first OCS pass
+  std::vector<std::vector<std::uint32_t>> partitions;
+  std::vector<std::vector<Path>> to_routes;  // stage target's plan routes
+  std::vector<std::uint64_t> to_fp;       // per switch: incoming rules
+  std::vector<std::uint64_t> installed;   // per switch: incoming rules acked
+  std::vector<std::uint64_t> retiring;    // per switch: outgoing rules
+  std::vector<bool> deleted;  // outgoing rules deleted (atomic baseline)
+};
+
 // The whole mutable execution state plus the step/timeline machinery. One
 // instance per execute() call; everything it touches is local or owned by
 // the caller, so executions are trivially parallel across threads.
@@ -187,15 +228,6 @@ struct Exec {
   obs::Histogram* h_attempts{nullptr};
   obs::EventTracer* tracer{nullptr};
 
-  // One command round over the lossy channel: per attempt the command drop
-  // and (if delivered and executable) the ack drop are drawn independently;
-  // a forced failure (dead switch, injected OCS fault) is delivered but
-  // never acks. Retries go out after a capped exponential backoff,
-  // shortened by up to channel.jitter of itself from the dedicated jitter
-  // stream — desynchronizing retry trains without touching the drop
-  // stream, so delivery outcomes are invariant under jitter changes.
-  // `unbounded` (rollback) retries until success, with a far-out safety
-  // valve so an adversarial seed cannot hang the executor.
   // The one-way delay toward a step's target: the topology-aware
   // per-switch figure when the channel carries one (net/control_rtt.h),
   // else the uniform delay_s. Untargeted steps (patches, OCS passes, the
@@ -232,6 +264,15 @@ struct Exec {
     return !opt.pod_local_authority && partitioned(n);
   }
 
+  // One command round over the lossy channel: per attempt the command drop
+  // and (if delivered and executable) the ack drop are drawn independently;
+  // a forced failure (dead switch, injected OCS fault) is delivered but
+  // never acks. Retries go out after a capped exponential backoff,
+  // shortened by up to channel.jitter of itself from the dedicated jitter
+  // stream — desynchronizing retry trains without touching the drop
+  // stream, so delivery outcomes are invariant under jitter changes.
+  // `unbounded` (rollback) retries until success, with a far-out safety
+  // valve so an adversarial seed cannot hang the executor.
   ChannelOutcome channel_round(double start_s, double one_way_s,
                                double service_s, bool forced_fail,
                                bool unbounded) {
@@ -264,6 +305,19 @@ struct Exec {
     return out;
   }
 
+  // Appends a step that ran as channel round `out` and advances simulated
+  // time past it.
+  void record(StepRecord rec, const ChannelOutcome& out) {
+    rec.start_s = now;
+    rec.finish_s = out.finish_s;
+    rec.attempts = out.attempts;
+    rec.ok = out.ok;
+    report.steps.push_back(rec);
+    now = out.finish_s;
+    report.retries += out.attempts - 1;
+    report.messages_dropped += out.dropped;
+  }
+
   // Executes one schedule step over the channel, records it, and advances
   // simulated time. Returns whether the step was acked.
   bool run_step(StepKind kind, bool rollback, NodeId target,
@@ -277,23 +331,9 @@ struct Exec {
     const ChannelOutcome out =
         channel_round(now, one_way_for(target), service, forced_fail,
                       rollback);
-    StepRecord rec;
-    rec.kind = kind;
-    rec.rollback = rollback;
-    rec.replan = replan;
-    rec.standby = standby;
-    rec.target = target;
-    rec.partition = partition;
-    rec.rules_added = adds;
-    rec.rules_deleted = dels;
-    rec.start_s = now;
-    rec.finish_s = out.finish_s;
-    rec.attempts = out.attempts;
-    rec.ok = out.ok;
-    report.steps.push_back(rec);
-    now = out.finish_s;
-    report.retries += out.attempts - 1;
-    report.messages_dropped += out.dropped;
+    record(StepRecord{kind, rollback, replan, standby, target, partition, adds,
+                      dels},
+           out);
     if (out.ok) {
       report.rules_added += adds;
       report.rules_deleted += dels;
@@ -323,47 +363,38 @@ struct Exec {
     }
   }
 
-  void apply_storm_event(const FailureEvent& e) {
-    if (e.recover) {
-      for (LinkId id : e.elements.links) {
-        storm_active.links.erase(std::remove(storm_active.links.begin(),
-                                             storm_active.links.end(), id),
-                                 storm_active.links.end());
-      }
-      for (NodeId id : e.elements.switches) {
-        storm_active.switches.erase(
-            std::remove(storm_active.switches.begin(),
-                        storm_active.switches.end(), id),
-            storm_active.switches.end());
-      }
-    } else {
-      storm_active.merge(e.elements);
-      std::sort(storm_active.links.begin(), storm_active.links.end());
-      std::sort(storm_active.switches.begin(), storm_active.switches.end());
+  // Folds storm events due by `now` into the live graph; returns whether
+  // any were due.
+  bool fold_due() {
+    if (storm == nullptr) return false;
+    const std::vector<FailureEvent>& evs = storm->events();
+    const std::size_t folded = storm_next;
+    while (storm_next < evs.size() && evs[storm_next].time_s <= now) {
+      ++storm_next;
     }
+    if (storm_next == folded) return false;
+    storm_active = storm->active_at(now);
+    refresh_live();
+    return true;
   }
 
-  // Folds storm events due by `now` into the executor's live graph and,
-  // when anything changed, runs one re-plan / reconcile pass. Called at
-  // every step boundary — this is the executor's *detection* point, so the
-  // lag between a physical event and the next boundary is real detection
-  // latency. The physical event times themselves are bound into the
-  // reported timeline after execution (see the post-pass in
-  // execute_under_storm), not here.
-  void storm_tick() {
-    if (storm == nullptr) return;
-    const std::vector<FailureEvent>& evs = storm->events();
-    bool changed = false;
-    while (storm_next < evs.size() && evs[storm_next].time_s <= now) {
-      apply_storm_event(evs[storm_next]);
-      ++storm_next;
-      changed = true;
-    }
-    if (changed) {
-      refresh_live();
+  // One step boundary — the executor's only *detection* point, so the lag
+  // between a physical event and the next boundary is real detection
+  // latency (the post-pass in execute_under_storm binds physical event
+  // times into the timeline). Due storm events fold and run one re-plan /
+  // reconcile pass; then, unless draining, a dead primary's standby takes
+  // over. Only an abortable gate reports an exhausted pre-commit re-plan
+  // (kAbort, before any takeover) or a takeover (kRescan).
+  Boundary boundary(Gate gate) {
+    if (fold_due()) {
       obs::add(c_replan_events);
       if (opt.live_replanning) replan_pass();
     }
+    if (gate == Gate::kDrain) return Boundary::kContinue;
+    if (gate == Gate::kAbortable && replan_failed) return Boundary::kAbort;
+    const bool took_over = maybe_failover();
+    return took_over && gate == Gate::kAbortable ? Boundary::kRescan
+                                                 : Boundary::kContinue;
   }
 
   // The stage target's plan, repaired around the active storm through the
@@ -378,26 +409,11 @@ struct Exec {
     CompiledMode repaired = controller.compile(stage_target->assignment(), k);
     // Map the reference-space failed links onto this realization by node
     // pair; switch ids are stable across realizations.
-    FailureSet mapped;
-    mapped.switches = storm_active.switches;
-    const auto pair_key = [](NodeId a, NodeId b) {
-      const auto lo = std::min(a.value(), b.value());
-      const auto hi = std::max(a.value(), b.value());
-      return (static_cast<std::uint64_t>(lo) << 32) | hi;
-    };
-    std::vector<std::uint64_t> severed;
-    for (LinkId id : storm_active.links) {
-      const Link& l = reference->link(id);
-      severed.push_back(pair_key(l.a, l.b));
-    }
     const Graph& rg = repaired.graph();
-    for (std::uint32_t i = 0; i < rg.link_count(); ++i) {
-      const Link& l = rg.link(LinkId{i});
-      if (std::find(severed.begin(), severed.end(), pair_key(l.a, l.b)) !=
-          severed.end()) {
-        mapped.links.push_back(LinkId{i});
-      }
-    }
+    const FailureSet mapped{
+        links_not_in(rg, degrade_mapped(rg, *reference,
+                                        FailureSet{storm_active.links, {}})),
+        storm_active.switches};
     if (!mapped.empty()) {
       (void)controller.plan_repair(repaired, mapped,
                                    RepairOptions{.allow_converter_rewire = false});
@@ -412,6 +428,35 @@ struct Exec {
     return std::all_of(paths.begin(), paths.end(), [&](const Path& p) {
       return is_valid_path(g, p);
     });
+  }
+
+  // Server paths on `g` through a cache built on first use; empty when
+  // either server is detached from g.
+  std::vector<Path> paths_on(std::optional<PathCache>& cache, const Graph& g,
+                             NodeId src, NodeId dst) const {
+    if (g.degree(src) == 0 || g.degree(dst) == 0) return {};
+    if (!cache.has_value()) cache.emplace(g, k);
+    return cache->server_paths(src, dst);
+  }
+
+  static std::vector<Path> valid_subset(const std::vector<Path>& paths,
+                                        const Graph& g) {
+    std::vector<Path> out;
+    for (const Path& p : paths) {
+      if (is_valid_path(g, p)) out.push_back(p);
+    }
+    return out;
+  }
+
+  // Tops a targeted patch's surviving paths back up to `want` from `pool`.
+  static void top_up(std::vector<Path>& paths, const std::vector<Path>& pool,
+                     std::size_t want) {
+    for (const Path& p : pool) {
+      if (paths.size() >= want) break;
+      if (std::find(paths.begin(), paths.end(), p) == paths.end()) {
+        paths.push_back(p);
+      }
+    }
   }
 
   // One batched re-plan / reconcile step: pairs whose installed routes the
@@ -451,16 +496,11 @@ struct Exec {
       if (!dead_list.empty()) {
         if (!live_dead.has_value()) {
           live_dead.emplace(degrade(eff, FailureSet{{}, dead_list}));
-          live_dead_cache.emplace(*live_dead, k);
         }
-        if (live_dead->degree(src) > 0 && live_dead->degree(dst) > 0) {
-          std::vector<Path> sol = live_dead_cache->server_paths(src, dst);
-          if (!sol.empty()) return sol;
-        }
+        std::vector<Path> sol = paths_on(live_dead_cache, *live_dead, src, dst);
+        if (!sol.empty()) return sol;
       }
-      if (eff.degree(src) == 0 || eff.degree(dst) == 0) return {};
-      if (!live_cache.has_value()) live_cache.emplace(eff, k);
-      return live_cache->server_paths(src, dst);
+      return paths_on(live_cache, eff, src, dst);
     };
     const bool on_target = stage_target != nullptr &&
                            configs == stage_target->configs();
@@ -487,31 +527,19 @@ struct Exec {
       const double dark =
           static_cast<double>(dead_paths) / static_cast<double>(rs.size());
       const auto [src, dst] = report.pairs[i];
+      // When the circuits match the stage target, serve the controller's
+      // repaired stage plan directly.
       std::vector<Path> sol;
-      if (on_target) {
-        // The circuits match the stage target: serve the controller's
-        // repaired stage plan directly.
-        if (PathCache* repaired = ensure_stage_live(); repaired != nullptr) {
-          std::vector<Path> cand = repaired->server_paths(src, dst);
-          if (all_valid_on(eff, cand)) sol = std::move(cand);
-        }
-      }
-      if (sol.empty()) sol = solve_live(src, dst);
+      PathCache* repaired = on_target ? ensure_stage_live() : nullptr;
+      if (repaired != nullptr) sol = repaired->server_paths(src, dst);
+      if (!all_valid_on(eff, sol)) sol = solve_live(src, dst);
       // Targeted patch: keep the surviving paths, top the set back up from
       // the solve. A pair whose solve comes up empty still sheds its dead
       // paths (the ECMP group shrinks to the live subset); a pair with no
       // live path at all is storm-disconnected and left alone — the
       // checker holds only reachable pairs to the no-blackhole invariant.
-      std::vector<Path> next;
-      for (const Path& p : rs) {
-        if (is_valid_path(eff, p)) next.push_back(p);
-      }
-      for (const Path& p : sol) {
-        if (next.size() >= rs.size()) break;
-        if (std::find(next.begin(), next.end(), p) == next.end()) {
-          next.push_back(p);
-        }
-      }
+      std::vector<Path> next = valid_subset(rs, eff);
+      top_up(next, sol, rs.size());
       if (next.empty()) continue;
       updates.push_back(Update{i, std::move(next), false, dark});
     }
@@ -527,62 +555,67 @@ struct Exec {
                        return a.dark > b.dark;
                      });
     ++report.replans;
-    const std::uint64_t budget = opt.patch_chunk_rules;
-    const auto diff_rules = [&](const Update& u, std::uint64_t& a,
-                                std::uint64_t& d, std::uint64_t& s) {
-      std::vector<Path> removed;
-      std::vector<Path> installed;
-      for (const Path& p : routes[u.pair]) {
-        if (std::find(u.paths.begin(), u.paths.end(), p) == u.paths.end()) {
-          removed.push_back(p);
-        }
-      }
-      for (const Path& p : u.paths) {
-        if (std::find(routes[u.pair].begin(), routes[u.pair].end(), p) ==
-            routes[u.pair].end()) {
-          installed.push_back(p);
-        }
-      }
-      count_rules(removed, d, s);
-      count_rules(installed, a, s);
-    };
+    const std::size_t steps_before = report.steps.size();
+    const bool ok = land_batches(
+        updates.size(), kPatchBatchRules, 0, in_rollback, /*replan=*/true,
+        [&](std::size_t j, auto& a, auto& d, auto& s) {
+          // Diff-based: only paths actually added or removed cost rules.
+          const Update& u = updates[j];
+          count_rules(routes[u.pair], d, s, u.paths);
+          count_rules(u.paths, a, s, routes[u.pair]);
+        },
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t j = begin; j < end; ++j) {
+            Update& u = updates[j];
+            routes[u.pair] = std::move(u.paths);
+            diverged[u.pair] = !u.to_canonical;
+            if (!u.to_canonical) {
+              ++report.pairs_replanned;
+              obs::add(c_replan_pairs);
+            }
+          }
+          push_point(0.0, ConversionScope::kChangedOnly);
+        },
+        [] {});
+    obs::add(c_replan_steps, report.steps.size() - steps_before);
+    if (!ok) replan_failed = true;
+  }
+
+  // Lands `count` rule updates as kRulePatch steps, each packing updates
+  // while its adds + deletes fit `budget` (0 = one batch) and committing
+  // them through commit(begin, end) once acked; between() runs ahead of
+  // every batch but the first. Returns false when a forward batch exhausts
+  // its retries.
+  template <typename Cost, typename Commit, typename Between>
+  bool land_batches(std::size_t count, std::uint64_t budget,
+                    std::uint32_t partition, bool rollback, bool replan,
+                    Cost&& cost, Commit&& commit, Between&& between) {
     std::size_t begin = 0;
-    while (begin < updates.size()) {
+    while (begin < count) {
+      if (begin > 0) between();
       std::uint64_t adds = 0;
       std::uint64_t dels = 0;
       std::uint64_t skipped = 0;
       std::size_t end = begin;
-      while (end < updates.size()) {
+      while (end < count) {
         std::uint64_t a = adds;
         std::uint64_t d = dels;
         std::uint64_t s = skipped;
-        diff_rules(updates[end], a, d, s);
+        cost(end, a, d, s);
         if (end > begin && budget != 0 && a + d > budget) break;
         adds = a;
         dels = d;
         skipped = s;
         ++end;
       }
-      const bool ok = run_step(StepKind::kRulePatch, in_rollback, NodeId{}, 0,
-                               adds, dels, 0.0, false, /*replan=*/true);
-      obs::add(c_replan_steps);
-      if (!ok && !in_rollback) {
-        replan_failed = true;
-        return;
-      }
+      const bool ok = run_step(StepKind::kRulePatch, rollback, NodeId{},
+                               partition, adds, dels, 0.0, false, replan);
+      if (!ok && !rollback) return false;
       report.rules_skipped_dead += skipped;
-      for (std::size_t j = begin; j < end; ++j) {
-        Update& u = updates[j];
-        routes[u.pair] = std::move(u.paths);
-        diverged[u.pair] = !u.to_canonical;
-        if (!u.to_canonical) {
-          ++report.pairs_replanned;
-          obs::add(c_replan_pairs);
-        }
-      }
-      push_point(0.0, ConversionScope::kChangedOnly);
+      commit(begin, end);
       begin = end;
     }
+    return true;
   }
 
   // Installs a mode's canonical routes (stage commit or rollback restore).
@@ -598,30 +631,22 @@ struct Exec {
     }
     std::optional<PathCache> live_cache;
     for (std::size_t i = 0; i < report.pairs.size(); ++i) {
-      if (all_valid_on(*live, target[i])) {
-        routes[i] = target[i];
-        diverged[i] = false;
-        continue;
-      }
-      const auto [src, dst] = report.pairs[i];
       std::vector<Path> sol;
-      if (PathCache* repaired = ensure_stage_live(); repaired != nullptr) {
-        std::vector<Path> cand = repaired->server_paths(src, dst);
-        if (all_valid_on(*live, cand)) sol = std::move(cand);
-      }
-      if (sol.empty() && live->degree(src) > 0 && live->degree(dst) > 0) {
-        if (!live_cache.has_value()) live_cache.emplace(*live, k);
-        std::vector<Path> cand = live_cache->server_paths(src, dst);
-        if (all_valid_on(*live, cand)) sol = std::move(cand);
-      }
-      if (sol.empty()) {
+      if (!all_valid_on(*live, target[i])) {
+        const auto [src, dst] = report.pairs[i];
+        if (PathCache* repaired = ensure_stage_live(); repaired != nullptr) {
+          sol = repaired->server_paths(src, dst);
+        }
+        if (!all_valid_on(*live, sol)) {
+          sol = paths_on(live_cache, *live, src, dst);
+        }
         // Storm-disconnected: install the plan and let reconciliation (or
         // the reachability-gated checker) account for it.
-        routes[i] = target[i];
-        diverged[i] = false;
-      } else {
-        routes[i] = std::move(sol);
-        diverged[i] = true;
+        if (!all_valid_on(*live, sol)) sol.clear();
+      }
+      diverged[i] = !sol.empty();
+      routes[i] = sol.empty() ? target[i] : std::move(sol);
+      if (diverged[i]) {
         ++report.pairs_replanned;
         obs::add(c_replan_pairs);
       }
@@ -649,24 +674,12 @@ struct Exec {
     if (tracer != nullptr) tracer->mark("conv_exec", "failover", 0, 1);
     if (!report.steps.empty() &&
         report.steps.back().start_s < faults.kill_primary_at_s) {
-      const StepRecord prev = report.steps.back();
+      const StepRecord& prev = report.steps.back();
       const ChannelOutcome out =
           channel_round(now, one_way_for(prev.target), 0.0, false, true);
-      StepRecord rec;
-      rec.kind = prev.kind;
-      rec.rollback = prev.rollback;
-      rec.replan = prev.replan;
-      rec.standby = true;
-      rec.target = prev.target;
-      rec.partition = prev.partition;
-      rec.start_s = now;
-      rec.finish_s = out.finish_s;
-      rec.attempts = out.attempts;
-      rec.ok = out.ok;
-      report.steps.push_back(rec);
-      now = out.finish_s;
-      report.retries += out.attempts - 1;
-      report.messages_dropped += out.dropped;
+      record(StepRecord{prev.kind, prev.rollback, prev.replan, true,
+                        prev.target, prev.partition},
+             out);
       ++report.steps_reissued;
       obs::add(c_fo_reissued);
     }
@@ -699,7 +712,6 @@ struct Exec {
   }
 
   void check_invariants() {
-    if (!opt.check_invariants) return;
     obs::add(c_inv_checks);
     // Connectivity is judged on the clean realization: a storm partition is
     // the storm's doing, not the executor's. Route validity is judged on
@@ -749,11 +761,14 @@ struct Exec {
     return per;
   }
 
-  // Splits one route set's rule count into operations on live switches and
-  // operations skipped because the switch is control-plane dead.
+  // Splits the rule count of `paths` (those not also in `kept`) into
+  // operations on live switches and operations skipped because the switch
+  // is control-plane dead.
   void count_rules(const std::vector<Path>& paths, std::uint64_t& live_rules,
-                   std::uint64_t& skipped) const {
+                   std::uint64_t& skipped,
+                   const std::vector<Path>& kept = {}) const {
     for (const Path& path : paths) {
+      if (std::find(kept.begin(), kept.end(), path) != kept.end()) continue;
       for (NodeId n : path) {
         if (!is_switch(graph->node(n).role)) continue;
         if (dead[n.index()]) {
@@ -765,44 +780,84 @@ struct Exec {
     }
   }
 
-  bool pair_uses_switch(const std::vector<Path>& paths, NodeId sw) const {
-    for (const Path& path : paths) {
-      if (std::find(path.begin(), path.end(), sw) != path.end()) return true;
+  // A switch the commanding controller cannot program: control-plane dead,
+  // or islanded from the flat root by a control partition.
+  bool blocked(NodeId n) const {
+    return dead[n.index()] || partition_blocks(n);
+  }
+
+  // The atomic baseline's rule hole: every pair routed through `sw` goes
+  // dark once the switch's rules are deleted. Returns whether any did.
+  bool darken(NodeId sw) {
+    bool any = false;
+    for (std::size_t i = 0; i < routes.size(); ++i) {
+      const bool uses = std::any_of(
+          routes[i].begin(), routes[i].end(), [sw](const Path& path) {
+            return std::find(path.begin(), path.end(), sw) != path.end();
+          });
+      if (!uses) continue;
+      routes[i].clear();
+      canonical[i].clear();
+      diverged[i] = false;
+      any = true;
     }
-    return false;
+    return any;
+  }
+
+  // The baseline's way back: a dark pair is routed on `target` once no
+  // switch its target routes cross is still `pending` (unprogrammed).
+  // Returns whether any pair came back.
+  template <typename Pending>
+  bool route_ready(const std::vector<std::vector<Path>>& target,
+                   Pending&& pending) {
+    bool any = false;
+    for (std::size_t i = 0; i < routes.size(); ++i) {
+      if (!routes[i].empty() || target[i].empty()) continue;
+      const bool ready = std::none_of(
+          target[i].begin(), target[i].end(), [&](const Path& path) {
+            return std::any_of(path.begin(), path.end(), pending);
+          });
+      if (!ready) continue;
+      routes[i] = target[i];
+      canonical[i] = target[i];
+      any = true;
+    }
+    return any;
   }
 
   // Applies (forward) or reverts (rollback) one OCS partition with
   // make-before-break patching. Returns false when a forward step exhausted
   // its retries; rollback steps retry unbounded and keep going regardless.
   bool rewire_partition(const std::vector<std::uint32_t>& members,
-                        std::uint32_t pindex,
-                        std::span<const ConverterConfig> goal, bool rollback,
-                        bool forced_ocs_fail) {
+                        std::uint32_t pindex, const CompiledMode& goal,
+                        bool rollback) {
+    const std::vector<std::uint32_t>& fail = faults.fail_ocs_partitions;
+    const bool forced_ocs_fail =
+        !rollback && std::find(fail.begin(), fail.end(), pindex) != fail.end();
     std::vector<ConverterConfig> next = configs;
-    bool changed = false;
-    for (std::uint32_t c : members) {
-      if (next[c] != goal[c]) {
-        next[c] = goal[c];
-        changed = true;
+    for (std::uint32_t c : members) next[c] = goal.configs()[c];
+    if (next == configs) return true;
+    if (!opt.staged) {
+      // The atomic baseline's single pass: no make-before-break (its rule
+      // hole already darkened every pair), straight onto the goal mode's
+      // graph, every pipe stalled for the rewire.
+      if (!run_step(StepKind::kOcs, rollback, NodeId{}, pindex, 0, 0,
+                    delay.ocs_reconfigure_s, forced_ocs_fail) &&
+          !rollback) {
+        return false;
       }
+      configs = std::move(next);
+      graph = goal.graph_ptr();
+      refresh_live();
+      push_point(delay.ocs_reconfigure_s, ConversionScope::kFullBlackout);
+      return true;
     }
-    if (!changed) return true;
     auto next_graph = std::make_shared<const Graph>(tree.realize(next));
 
     // The intersection graph: links of the current realization that survive
     // the rewire. Any path on it is valid both before and after the pass.
     const std::vector<LinkId> removed = links_not_in(*graph, *next_graph);
     const Graph safe = degrade(*graph, FailureSet{removed, {}});
-    // Any re-plan that fires while this rewire is in flight (a storm fold
-    // at a patch-chunk boundary) must solve against the intersection, not
-    // the full realization — see replan_pass.
-    struct MbbScope {
-      const Graph*& slot;
-      ~MbbScope() { slot = nullptr; }
-    } mbb_scope{mbb_intersection};
-    mbb_intersection = &safe;
-
     struct PairPatch {
       std::size_t pair;
       std::vector<Path> paths;
@@ -816,8 +871,7 @@ struct Exec {
     // keep a pair from being abandoned when those are its sole capacity.
     const FailureSet dead_set{{}, dead_list};
     const bool storm_on = !storm_active.empty();
-    PathCache safe_cache{safe, k};
-    PathCache next_cache{*next_graph, k};
+    std::optional<PathCache> safe_cache, next_cache;
     std::optional<Graph> safe_live, next_live;
     std::optional<PathCache> safe_live_cache, next_live_cache;
     if (!dead_list.empty() || storm_on) {
@@ -826,44 +880,26 @@ struct Exec {
       };
       safe_live.emplace(degrade(minus_storm(safe), dead_set));
       next_live.emplace(degrade(minus_storm(*next_graph), dead_set));
-      safe_live_cache.emplace(*safe_live, k);
-      next_live_cache.emplace(*next_live, k);
     }
-    const auto solve = [](PathCache& cache, const Graph& g, NodeId src,
-                          NodeId dst) -> std::vector<Path> {
-      // A server whose access circuit moves with this pass has degree 0 on
-      // the intersection graph — no immediate patch exists for it.
-      if (g.degree(src) == 0 || g.degree(dst) == 0) return {};
-      return cache.server_paths(src, dst);
-    };
 
     for (std::size_t i = 0; i < report.pairs.size(); ++i) {
-      const std::vector<Path>& rs = routes[i];
-      if (rs.empty()) continue;
-      bool broken = false;
-      for (const Path& path : rs) {
-        if (!is_valid_path(*next_graph, path)) {
-          broken = true;
-          break;
-        }
-      }
-      if (!broken) continue;
+      if (routes[i].empty() || all_valid_on(*next_graph, routes[i])) continue;
       const auto [src, dst] = report.pairs[i];
       std::vector<Path> sol;
       bool armed = false;
-      if (safe_live_cache.has_value()) {
-        sol = solve(*safe_live_cache, *safe_live, src, dst);
+      if (safe_live.has_value()) {
+        sol = paths_on(safe_live_cache, *safe_live, src, dst);
         if (sol.empty()) {
-          sol = solve(*next_live_cache, *next_live, src, dst);
+          sol = paths_on(next_live_cache, *next_live, src, dst);
           armed = true;
         }
       }
       if (sol.empty()) {
-        sol = solve(safe_cache, safe, src, dst);
+        sol = paths_on(safe_cache, safe, src, dst);
         armed = false;
       }
       if (sol.empty()) {
-        sol = solve(next_cache, *next_graph, src, dst);
+        sol = paths_on(next_cache, *next_graph, src, dst);
         armed = true;
       }
       // A pair with no route even on the full graphs is physically
@@ -890,30 +926,15 @@ struct Exec {
       canonical[p.pair] = p.paths;
       if (opt.live_replanning && !storm_active.empty() &&
           !all_valid_on(*live, p.paths)) {
-        if (!fit_cache.has_value()) {
-          if (fit_post_ocs) {
-            fit_graph.reset();
-          } else {
-            fit_graph.emplace(degrade(
-                degrade_mapped(safe, *reference, storm_active), dead_set));
-          }
-          fit_cache.emplace(fit_post_ocs ? *live : *fit_graph, k);
+        if (!fit_post_ocs && !fit_graph.has_value()) {
+          fit_graph.emplace(degrade(
+              degrade_mapped(safe, *reference, storm_active), dead_set));
         }
         const Graph& fg = fit_post_ocs ? *live : *fit_graph;
-        std::vector<Path> fitted;
-        for (const Path& path : p.paths) {
-          if (is_valid_path(fg, path)) fitted.push_back(path);
-        }
         const auto [src, dst] = report.pairs[p.pair];
-        if (fitted.size() < p.paths.size() && fg.degree(src) > 0 &&
-            fg.degree(dst) > 0) {
-          for (const Path& path : fit_cache->server_paths(src, dst)) {
-            if (fitted.size() >= p.paths.size()) break;
-            if (std::find(fitted.begin(), fitted.end(), path) ==
-                fitted.end()) {
-              fitted.push_back(path);
-            }
-          }
+        std::vector<Path> fitted = valid_subset(p.paths, fg);
+        if (fitted.size() < p.paths.size()) {
+          top_up(fitted, paths_on(fit_cache, fg, src, dst), p.paths.size());
         }
         if (!fitted.empty()) {
           diverged[p.pair] = fitted != p.paths;
@@ -929,61 +950,42 @@ struct Exec {
       diverged[p.pair] = false;
     };
 
-    if (!patches.empty()) {
-      // The patch lands as a sequence of bounded rule batches with storm
-      // detection and failover checks between them: a failure landing
-      // mid-patch is observed within one chunk's worth of rules, not after
-      // the whole partition's — the difference between re-planning inside
-      // an outage and after it. With no failure schedule wired in there is
-      // nothing to detect mid-step, so calm executions keep the monolithic
-      // patch and skip the per-chunk channel round-trips.
-      const std::uint64_t budget =
-          storm != nullptr ? opt.patch_chunk_rules : 0;
-      std::size_t begin = 0;
-      while (begin < patches.size()) {
-        if (begin > 0) {
+    // The patch lands as bounded rule batches with a step boundary between
+    // them. With no failure schedule wired in there is nothing to detect
+    // mid-step, so calm executions keep the monolithic patch and skip the
+    // per-batch channel round-trips. A re-plan fired by a fold between
+    // batches solves against the intersection, not the full realization —
+    // see replan_pass.
+    mbb_intersection = &safe;
+    const bool landed = land_batches(
+        patches.size(), storm != nullptr ? kPatchBatchRules : 0, pindex,
+        rollback, /*replan=*/false,
+        [&](std::size_t j, auto& a, auto& d, auto& s) {
+          count_rules(routes[patches[j].pair], d, s);
+          count_rules(patches[j].paths, a, s);
+        },
+        [&](std::size_t begin, std::size_t end) {
+          bool any_immediate = false;
+          for (std::size_t j = begin; j < end; ++j) {
+            ++report.pairs_patched;
+            obs::add(c_patched);
+            if (!patches[j].armed) {
+              commit_patch(patches[j]);
+              any_immediate = true;
+            }
+          }
+          if (any_immediate) push_point(0.0, ConversionScope::kChangedOnly);
+        },
+        [&] {
           const std::size_t folded = storm_next;
-          storm_tick();
-          (void)maybe_failover();
+          (void)boundary(Gate::kBestEffort);
           if (storm_next != folded) {
             fit_graph.reset();
             fit_cache.reset();
           }
-        }
-        std::uint64_t adds = 0;
-        std::uint64_t dels = 0;
-        std::uint64_t skipped = 0;
-        std::size_t end = begin;
-        while (end < patches.size()) {
-          std::uint64_t a = adds;
-          std::uint64_t d = dels;
-          std::uint64_t s = skipped;
-          count_rules(routes[patches[end].pair], d, s);
-          count_rules(patches[end].paths, a, s);
-          if (end > begin && budget != 0 && a + d > budget) break;
-          adds = a;
-          dels = d;
-          skipped = s;
-          ++end;
-        }
-        const bool ok = run_step(StepKind::kRulePatch, rollback, NodeId{},
-                                 pindex, adds, dels, 0.0, false);
-        if (!ok && !rollback) return false;
-        report.rules_skipped_dead += skipped;
-        bool any_immediate = false;
-        for (std::size_t j = begin; j < end; ++j) {
-          PairPatch& p = patches[j];
-          ++report.pairs_patched;
-          obs::add(c_patched);
-          if (!p.armed) {
-            commit_patch(p);
-            any_immediate = true;
-          }
-        }
-        if (any_immediate) push_point(0.0, ConversionScope::kChangedOnly);
-        begin = end;
-      }
-    }
+        });
+    mbb_intersection = nullptr;
+    if (!landed) return false;
 
     const bool ok = run_step(StepKind::kOcs, rollback, NodeId{}, pindex, 0, 0,
                              delay.ocs_reconfigure_s, forced_ocs_fail);
@@ -999,6 +1001,254 @@ struct Exec {
     }
     push_point(delay.ocs_reconfigure_s, ConversionScope::kChangedOnly);
     return true;
+  }
+
+  // -- the stage machine ------------------------------------------------------
+
+  std::vector<std::vector<Path>> resolve_routes_of(
+      const CompiledMode& mode) const {
+    std::vector<std::vector<Path>> rs;
+    rs.reserve(report.pairs.size());
+    for (const auto& [src, dst] : report.pairs) {
+      rs.push_back(mode.paths().server_paths(src, dst));
+    }
+    return rs;
+  }
+
+  // The atomic baseline has no durable epoch state to abort to or rescan:
+  // its boundaries are always best effort.
+  Gate forward_gate() const {
+    return opt.staged ? Gate::kAbortable : Gate::kBestEffort;
+  }
+
+  // Runs one stage through its phases; on a failed phase rolls the applied
+  // ones back to st.from (the last checkpoint) and returns false.
+  bool run_stage(Stage& st) {
+    // Storm re-plans steer toward the stage target's repaired plan; the
+    // baseline has none to steer toward.
+    stage_target = opt.staged ? st.to : nullptr;
+    stage_live.reset();
+    replan_failed = false;
+    const std::span<const Phase> phases =
+        opt.staged ? std::span<const Phase>{kStagedPhases}
+                   : std::span<const Phase>{kAtomicPhases};
+    bool ok = true;
+    for (std::size_t p = 0; p < phases.size() && ok; ++p) {
+      ok = run_phase(phases[p], st);
+      if (ok) continue;
+      // Roll the applied phases, the failed one included, back in reverse.
+      // Rollback steps retry unbounded: the channel is lossy, not dead.
+      in_rollback = true;
+      stage_target = opt.staged ? st.from : nullptr;
+      stage_live.reset();
+      for (std::size_t j = p + 1; j-- > 0;) undo_phase(phases[j], st);
+      in_rollback = false;
+    }
+    stage_target = nullptr;
+    stage_live.reset();
+    return ok;
+  }
+
+  bool run_phase(Phase phase, Stage& st) {
+    switch (phase) {
+      case Phase::kOcs: return ocs_passes(st);
+      case Phase::kRuleSweep: return rule_sweep(st);
+      case Phase::kEpochFlip: return epoch_flip(st);
+      case Phase::kGcSweep: return gc_sweep(st);
+    }
+    return false;
+  }
+
+  void undo_phase(Phase phase, Stage& st) {
+    switch (phase) {
+      case Phase::kOcs: undo_ocs_passes(st); break;
+      case Phase::kRuleSweep: undo_rule_sweep(st); break;
+      case Phase::kEpochFlip: break;  // a failed barrier changed nothing
+      case Phase::kGcSweep: undo_gc_sweep(st); break;
+    }
+  }
+
+  // A forward phase's durable-state scan: each item not yet done(i) runs
+  // step(i) behind a step boundary; a takeover restarts the scan, so the
+  // standby's position comes from the network, not the dead primary's
+  // memory. Returns false when a boundary aborts or a step fails.
+  template <typename Done, typename Step>
+  bool scan(std::size_t count, Done&& done, Step&& step) {
+    for (std::size_t i = 0; i < count;) {
+      if (done(i)) {
+        ++i;
+        continue;
+      }
+      switch (boundary(forward_gate())) {
+        case Boundary::kAbort: return false;
+        case Boundary::kRescan: i = 0; continue;
+        case Boundary::kContinue: break;
+      }
+      if (!step(i)) return false;
+      ++i;
+    }
+    return true;
+  }
+
+  // The stage's OCS passes in order; applied passes no-op against the
+  // configs the OCS reports.
+  bool ocs_passes(Stage& st) {
+    return scan(
+        st.partitions.size(), [](std::size_t) { return false; },
+        [&](std::size_t p) {
+          return rewire_partition(st.partitions[p],
+                                  st.ocs_base + static_cast<std::uint32_t>(p),
+                                  *st.to, false);
+        });
+  }
+
+  // Un-rewires the passes in reverse (unapplied ones no-op against the
+  // durable configs), then — staged — reinstates the checkpoint's canonical
+  // routes over whatever patches and re-plans left installed.
+  void undo_ocs_passes(Stage& st) {
+    for (std::size_t p = st.partitions.size(); p-- > 0;) {
+      // Without make-before-break nothing lands ahead of the OCS step: a
+      // pass that never moved has nothing to revert.
+      if (!opt.staged && configs == st.from->configs()) continue;
+      (void)boundary(Gate::kBestEffort);
+      rewire_partition(st.partitions[p],
+                       st.ocs_base + static_cast<std::uint32_t>(p), *st.from,
+                       true);
+    }
+    if (!opt.staged) return;
+    (void)boundary(Gate::kBestEffort);
+    std::uint64_t adds = 0;
+    std::uint64_t dels = 0;
+    std::uint64_t skipped = 0;
+    for (std::size_t i = 0; i < routes.size(); ++i) {
+      if (routes[i] == (*st.from_routes)[i]) continue;
+      count_rules(routes[i], dels, skipped);
+      count_rules((*st.from_routes)[i], adds, skipped);
+    }
+    run_step(StepKind::kRuleRestore, true, NodeId{}, 0, adds, dels, 0.0,
+             false);
+    report.rules_skipped_dead += skipped;
+    install_canonical(*st.from_routes);
+    push_point(0.0, ConversionScope::kChangedOnly);
+    // A recovery landing here still reconciles to plan.
+    (void)boundary(Gate::kDrain);
+  }
+
+  // Installs the stage target's rules switch by switch: staged, under the
+  // new epoch tag (inert until the flip; the per-switch counts are the
+  // durable protocol state); the baseline's go live as they land.
+  bool rule_sweep(Stage& st) {
+    st.to_routes = resolve_routes_of(*st.to);
+    st.to_fp = footprint_of(st.to_routes);
+    st.installed.assign(st.to_fp.size(), 0);
+    const auto pending = [&st](NodeId n) {
+      return st.to_fp[n.index()] != 0 && st.installed[n.index()] == 0;
+    };
+    return scan(
+        st.to_fp.size(),
+        [&](std::size_t n) { return st.to_fp[n] == 0 || st.installed[n] != 0; },
+        [&](std::size_t n) {
+          const NodeId sw{static_cast<std::uint32_t>(n)};
+          if (!run_step(StepKind::kRuleAdd, false, sw, 0, st.to_fp[n], 0, 0.0,
+                        blocked(sw))) {
+            return false;
+          }
+          st.installed[n] = st.to_fp[n];
+          if (!opt.staged && route_ready(st.to_routes, pending)) {
+            push_point(0.0, ConversionScope::kChangedOnly);
+          }
+          return true;
+        });
+  }
+
+  // Collects the installed incoming rules in reverse install order; the
+  // baseline's pairs go dark again before the circuits revert under them.
+  void undo_rule_sweep(Stage& st) {
+    for (std::uint32_t n = static_cast<std::uint32_t>(st.installed.size());
+         n-- > 0;) {
+      if (st.installed[n] == 0) continue;
+      // Unbounded retries must not stall against a partition the root
+      // cannot cross: the uncollected rules are inert under the
+      // checkpoint's epoch, so skip and count them instead.
+      if (partition_blocks(NodeId{n})) {
+        report.rules_skipped_dead += st.installed[n];
+        st.installed[n] = 0;
+        continue;
+      }
+      (void)boundary(Gate::kBestEffort);
+      run_step(StepKind::kRuleDelete, true, NodeId{n}, 0, 0, st.installed[n],
+               0.0, false);
+      st.installed[n] = 0;
+      if (!opt.staged && darken(NodeId{n})) {
+        push_point(0.0, ConversionScope::kFullBlackout);
+      }
+    }
+  }
+
+  // The commit point. The staged barrier is root-coordinated under both
+  // control-plane shapes: while any Pod carrying new-epoch rules is
+  // islanded it fails, and the stage rolls back instead of committing a
+  // mixed-epoch rule set. The baseline's flip is bookkeeping only.
+  bool epoch_flip(Stage& st) {
+    if (opt.staged) {
+      if (boundary(Gate::kAbortable) == Boundary::kAbort) return false;
+      st.retiring = footprint_of(routes);
+      bool islanded = false;
+      for (std::uint32_t n = 0; n < st.to_fp.size() && !islanded; ++n) {
+        islanded = st.to_fp[n] != 0 && partitioned(NodeId{n});
+      }
+      if (!run_step(StepKind::kEpochFlip, false, NodeId{}, 0, 0, 0, 0.0,
+                    islanded)) {
+        return false;
+      }
+    }
+    epoch = st.epoch;
+    if (opt.staged) install_canonical(st.to_routes);
+    push_point(0.0, ConversionScope::kChangedOnly);
+    return true;
+  }
+
+  // Deletes the outgoing rules switch by switch. Staged, this is post-commit
+  // GC: best effort, and an unreachable switch keeps its stale rules (inert
+  // under the new epoch). The baseline deletes before its OCS pass: pairs
+  // go dark, and a switch that never acks fails the stage.
+  bool gc_sweep(Stage& st) {
+    if (!opt.staged) st.retiring = footprint_of(routes);
+    st.deleted.assign(st.retiring.size(), false);
+    for (std::uint32_t n = 0; n < st.retiring.size(); ++n) {
+      if (st.retiring[n] == 0) continue;
+      const bool unreachable = blocked(NodeId{n});
+      if (opt.staged && unreachable) {
+        report.rules_skipped_dead += st.retiring[n];
+        continue;
+      }
+      (void)boundary(Gate::kBestEffort);
+      const bool ok =
+          run_step(StepKind::kRuleDelete, false, NodeId{n}, 0, 0,
+                   st.retiring[n], 0.0, !opt.staged && unreachable);
+      if (opt.staged) continue;
+      if (!ok) return false;
+      st.deleted[n] = true;
+      if (darken(NodeId{n})) push_point(0.0, ConversionScope::kFullBlackout);
+    }
+    if (opt.staged) (void)boundary(Gate::kDrain);
+    return true;
+  }
+
+  // The baseline's way back: reinstalls the outgoing rules on every switch
+  // that deleted them; a pair comes back once all its switches are whole.
+  void undo_gc_sweep(Stage& st) {
+    const auto missing = [&st](NodeId n) { return st.deleted[n.index()]; };
+    for (std::uint32_t n = 0; n < st.deleted.size(); ++n) {
+      if (!st.deleted[n]) continue;
+      (void)boundary(Gate::kBestEffort);
+      run_step(StepKind::kRuleRestore, true, NodeId{n}, 0, st.retiring[n], 0,
+               0.0, false);
+      st.deleted[n] = false;
+      if (route_ready(*st.from_routes, missing)) {
+        push_point(0.0, ConversionScope::kFullBlackout);
+      }
+    }
   }
 };
 
@@ -1087,68 +1337,46 @@ ExecutionReport ConversionExecutor::execute_under_storm(
   options_.channel.validate();
   controller_->options().delay.validate();
   const FlatTree& tree = controller_->tree();
-  if (from.configs().size() != tree.converters().size() ||
-      to.configs().size() != tree.converters().size()) {
-    throw std::invalid_argument(
-        "ConversionExecutor: modes not compiled from this controller's tree");
-  }
-  if (!(t0_s >= 0.0)) {
-    throw std::invalid_argument("ConversionExecutor: t0_s must be >= 0");
-  }
+  require(from.configs().size() == tree.converters().size() &&
+              to.configs().size() == tree.converters().size(),
+          "ConversionExecutor: modes not compiled from this controller's tree");
+  require(t0_s >= 0.0, "ConversionExecutor: t0_s must be >= 0");
+  require(options_.failover_takeover_s >= 0.0,
+          "ConversionExecutor: failover_takeover_s must be >= 0");
+  require(!std::isnan(faults.kill_primary_at_s),
+          "ConversionExecutor: kill_primary_at_s must not be NaN");
   const Graph& from_graph = from.graph();
   for (NodeId sw : faults.dead_switches) {
-    if (sw.index() >= from_graph.node_count() ||
-        !is_switch(from_graph.node(sw).role)) {
-      throw std::invalid_argument(
-          "ConversionExecutor: dead_switches must name switches");
-    }
+    require(names_switch(from_graph, sw),
+            "ConversionExecutor: dead_switches must name switches");
   }
-  if (options_.ocs_partitions == 0) {
-    throw std::invalid_argument(
-        "ConversionExecutor: ocs_partitions must be >= 1");
-  }
-  if (options_.stage_checkpoints && !options_.staged) {
-    throw std::invalid_argument(
-        "ConversionExecutor: stage_checkpoints requires the staged protocol");
-  }
-  if (!faults.partitions.empty() && !options_.staged) {
-    throw std::invalid_argument(
-        "ConversionExecutor: control partitions require the staged protocol");
-  }
-  const std::uint32_t pod_count = tree.clos().pods;
+  require(options_.ocs_partitions != 0,
+          "ConversionExecutor: ocs_partitions must be >= 1");
+  require(options_.staged || !options_.stage_checkpoints,
+          "ConversionExecutor: stage_checkpoints requires the staged protocol");
+  require(options_.staged || faults.partitions.empty(),
+          "ConversionExecutor: control partitions require the staged protocol");
   for (const ControlPartition& p : faults.partitions) {
-    if (!p.pod.valid() || p.pod.value() >= pod_count) {
-      throw std::invalid_argument(
-          "ConversionExecutor: partition pod out of range");
-    }
-    if (!(p.start_s >= 0.0)) {
-      throw std::invalid_argument(
-          "ConversionExecutor: partition start_s must be >= 0");
-    }
-    if (!(p.end_s < 0.0) && !(p.end_s > p.start_s)) {
-      throw std::invalid_argument(
-          "ConversionExecutor: partition must end after it starts");
-    }
+    require(p.pod.valid() && p.pod.value() < tree.clos().pods,
+            "ConversionExecutor: partition pod out of range");
+    require(p.start_s >= 0.0,
+            "ConversionExecutor: partition start_s must be >= 0");
+    require(p.end_s < 0.0 || p.end_s > p.start_s,
+            "ConversionExecutor: partition must end after it starts");
   }
   storm.validate();
   for (const FailureEvent& e : storm.events()) {
     for (LinkId id : e.elements.links) {
-      if (id.index() >= from_graph.link_count()) {
-        throw std::invalid_argument(
-            "ConversionExecutor: storm link ids must name links of the "
-            "origin realization");
-      }
+      require(id.index() < from_graph.link_count(),
+              "ConversionExecutor: storm link ids must name links of the "
+              "origin realization");
     }
     for (NodeId sw : e.elements.switches) {
-      if (sw.index() >= from_graph.node_count() ||
-          !is_switch(from_graph.node(sw).role)) {
-        throw std::invalid_argument(
-            "ConversionExecutor: storm switches must name switches");
-      }
+      require(names_switch(from_graph, sw),
+              "ConversionExecutor: storm switches must name switches");
     }
   }
 
-  const ConversionDelayModel& delay = controller_->options().delay;
   ExecutionReport report;
   report.staged = options_.staged;
   report.start_s = t0_s;
@@ -1158,7 +1386,7 @@ ExecutionReport ConversionExecutor::execute_under_storm(
   Exec ex{.tree = tree,
           .controller = *controller_,
           .opt = options_,
-          .delay = delay,
+          .delay = controller_->options().delay,
           .faults = faults,
           .report = report,
           .rng = Rng{options_.seed},
@@ -1190,51 +1418,22 @@ ExecutionReport ConversionExecutor::execute_under_storm(
   }
   ex.tracer = options_.sink.tracer();
   ex.dead.assign(from_graph.node_count(), false);
-  ex.dead_list = faults.dead_switches;
-  std::sort(ex.dead_list.begin(), ex.dead_list.end());
-  ex.dead_list.erase(std::unique(ex.dead_list.begin(), ex.dead_list.end()),
-                     ex.dead_list.end());
-  for (NodeId sw : ex.dead_list) ex.dead[sw.index()] = true;
-
-  ex.routes.reserve(report.pairs.size());
-  std::vector<std::vector<Path>> from_routes;
-  from_routes.reserve(report.pairs.size());
-  for (const auto& [src, dst] : report.pairs) {
-    from_routes.push_back(from.paths().server_paths(src, dst));
-    ex.routes.push_back(from_routes.back());
+  for (NodeId sw : faults.dead_switches) ex.dead[sw.index()] = true;
+  for (std::uint32_t n = 0; n < ex.dead.size(); ++n) {
+    if (ex.dead[n]) ex.dead_list.push_back(NodeId{n});
   }
+
+  ex.routes = ex.resolve_routes_of(from);
   ex.canonical = ex.routes;
   ex.diverged.assign(report.pairs.size(), false);
+  report.checkpoints.push_back(CheckpointRecord{
+      0, t0_s, 0, from.assignment(), from.configs(), ex.routes});
 
   // Pre-history: storm events already due at t0 fold silently into the
   // starting state (they are inherited conditions, not execution events).
-  bool inherited_storm = false;
-  if (ex.storm != nullptr) {
-    const auto& evs = ex.storm->events();
-    while (ex.storm_next < evs.size() &&
-           evs[ex.storm_next].time_s <= t0_s) {
-      ex.apply_storm_event(evs[ex.storm_next]);
-      ++ex.storm_next;
-      inherited_storm = true;
-    }
-    if (inherited_storm) ex.refresh_live();
-  }
+  const bool inherited_storm = ex.fold_due();
   ex.push_point(0.0, ConversionScope::kChangedOnly);  // the pre-conversion state
   if (inherited_storm && options_.live_replanning) ex.replan_pass();
-
-  const auto ocs_forced = [&faults](std::uint32_t p) {
-    return std::find(faults.fail_ocs_partitions.begin(),
-                     faults.fail_ocs_partitions.end(),
-                     p) != faults.fail_ocs_partitions.end();
-  };
-  const auto resolve_routes_of = [&](const CompiledMode& mode) {
-    std::vector<std::vector<Path>> rs;
-    rs.reserve(report.pairs.size());
-    for (const auto& [src, dst] : report.pairs) {
-      rs.push_back(mode.paths().server_paths(src, dst));
-    }
-    return rs;
-  };
 
   // The stage sequence: gradual_plan's per-Pod assignments when checkpoints
   // are on (each intermediate compiled here), else the target alone.
@@ -1243,409 +1442,43 @@ ExecutionReport ConversionExecutor::execute_under_storm(
   if (options_.stage_checkpoints) {
     const std::vector<ModeAssignment> plan =
         Controller::gradual_plan(from.assignment(), to.assignment());
-    if (plan.size() > 1) {
-      interim.reserve(plan.size() - 1);
-      for (std::size_t s = 0; s + 1 < plan.size(); ++s) {
-        interim.push_back(controller_->compile(plan[s], to.k()));
-      }
-      for (const CompiledMode& m : interim) stage_seq.push_back(&m);
+    interim.reserve(plan.size());
+    for (std::size_t s = 0; s + 1 < plan.size(); ++s) {
+      interim.push_back(controller_->compile(plan[s], to.k()));
     }
-    stage_seq.push_back(&to);
-  } else {
-    stage_seq.push_back(&to);
+    for (const CompiledMode& m : interim) stage_seq.push_back(&m);
   }
+  stage_seq.push_back(&to);
   report.stages_total = static_cast<std::uint32_t>(stage_seq.size());
-  report.checkpoints.push_back(CheckpointRecord{
-      0, t0_s, 0, from.assignment(), from.configs(), from_routes});
+  // Reserved up front: each stage reads its checkpoint's routes in place.
+  report.checkpoints.reserve(stage_seq.size() + 1);
 
-  // Runs one from->to mini-conversion through the epoch protocol; on a
-  // forward failure rolls back to `stage_from` (the last checkpoint) and
-  // returns false. The loops scan durable state — converter configs and
-  // per-switch next-epoch rule counts — so a standby takeover resumes from
-  // what is actually installed.
-  const auto run_stage = [&](const CompiledMode& stage_from,
-                             const std::vector<std::vector<Path>>& from_canon,
-                             const CompiledMode& stage_to,
-                             std::uint32_t ocs_base, std::uint32_t ocs_count,
-                             std::uint32_t commit_epoch,
-                             const std::vector<std::vector<std::uint32_t>>&
-                                 partitions) -> bool {
-    ex.stage_target = &stage_to;
-    ex.stage_live.reset();
-    ex.replan_failed = false;
-    bool failed = false;
-    (void)ocs_count;
-
-    // -- phase 0: per-partition OCS passes with make-before-break patches.
-    bool rescan = true;
-    while (rescan && !failed) {
-      rescan = false;
-      for (std::uint32_t p = 0;
-           p < static_cast<std::uint32_t>(partitions.size()); ++p) {
-        ex.storm_tick();
-        if (ex.replan_failed) {
-          failed = true;
-          break;
-        }
-        if (ex.maybe_failover()) {
-          // Durable-state reconstruction: rescan from the first partition —
-          // applied ones no-op against the configs the OCS reports.
-          rescan = true;
-          break;
-        }
-        if (!ex.rewire_partition(partitions[p], ocs_base + p,
-                                 stage_to.configs(), false,
-                                 ocs_forced(ocs_base + p))) {
-          failed = true;
-          break;
-        }
-      }
-    }
-
-    // -- phase A: install the incoming mode's rules under the new epoch tag
-    // (inert until the flip, so every table stays pure old-mode). The
-    // per-switch next-epoch rule counts are the durable protocol state.
-    std::vector<std::vector<Path>> to_routes;
-    std::vector<std::uint64_t> to_fp;
-    std::vector<std::uint64_t> next_epoch_rules(from_graph.node_count(), 0);
-    if (!failed) {
-      to_routes = resolve_routes_of(stage_to);
-      to_fp = ex.footprint_of(to_routes);
-      rescan = true;
-      while (rescan && !failed) {
-        rescan = false;
-        for (std::uint32_t n = 0;
-             n < static_cast<std::uint32_t>(to_fp.size()); ++n) {
-          if (to_fp[n] == 0 || next_epoch_rules[n] != 0) continue;
-          ex.storm_tick();
-          if (ex.replan_failed) {
-            failed = true;
-            break;
-          }
-          if (ex.maybe_failover()) {
-            rescan = true;
-            break;
-          }
-          if (!ex.run_step(StepKind::kRuleAdd, false, NodeId{n}, 0, to_fp[n],
-                           0, 0.0,
-                           ex.dead[n] || ex.partition_blocks(NodeId{n}))) {
-            failed = true;
-            break;
-          }
-          next_epoch_rules[n] = to_fp[n];
-        }
-      }
-    }
-    // -- phase B: the barrier + epoch flip (the commit point), then GC.
-    if (!failed) {
-      ex.storm_tick();
-      if (ex.replan_failed) failed = true;
-      if (!failed) {
-        (void)ex.maybe_failover();
-        const std::vector<std::uint64_t> old_fp = ex.footprint_of(ex.routes);
-        // The flip barrier is root-coordinated under both control-plane
-        // shapes: while any Pod carrying new-epoch rules is islanded, the
-        // commit cannot span it and the barrier fails — the stage rolls
-        // back to the last checkpoint instead of installing a mixed-epoch
-        // rule set.
-        bool flip_blocked = false;
-        for (std::uint32_t n = 0;
-             n < static_cast<std::uint32_t>(to_fp.size()); ++n) {
-          if (to_fp[n] != 0 && ex.partitioned(NodeId{n})) {
-            flip_blocked = true;
-            break;
-          }
-        }
-        if (!ex.run_step(StepKind::kEpochFlip, false, NodeId{}, 0, 0, 0, 0.0,
-                         flip_blocked)) {
-          failed = true;
-        } else {
-          ex.epoch = commit_epoch;
-          ex.install_canonical(to_routes);
-          ex.push_point(0.0, ConversionScope::kChangedOnly);
-          // Old-epoch garbage collection: post-commit, best effort. A dead
-          // switch keeps its stale rules (inert under the new epoch).
-          for (std::uint32_t n = 0;
-               n < static_cast<std::uint32_t>(old_fp.size()); ++n) {
-            if (old_fp[n] == 0) continue;
-            // A dead or (root-unreachable) partitioned switch keeps its
-            // stale rules — inert under the new epoch.
-            if (ex.dead[n] || ex.partition_blocks(NodeId{n})) {
-              report.rules_skipped_dead += old_fp[n];
-              continue;
-            }
-            ex.storm_tick();
-            ex.replan_failed = false;  // post-commit re-plans are best-effort
-            (void)ex.maybe_failover();
-            ex.run_step(StepKind::kRuleDelete, false, NodeId{n}, 0, 0,
-                        old_fp[n], 0.0, false);
-          }
-          ex.storm_tick();
-          ex.replan_failed = false;
-          ex.stage_target = nullptr;
-          ex.stage_live.reset();
-          return true;
-        }
-      }
-    }
-
-    // -- rollback to the last checkpoint. Every rollback step retries
-    // unbounded: the channel is lossy, not dead, and no rollback step
-    // addresses a dead switch — steps touching one fail before mutating it,
-    // so only acked (live) switches ever need undoing.
-    ex.in_rollback = true;
-    ex.replan_failed = false;
-    ex.stage_target = &stage_from;
-    ex.stage_live.reset();
-    // Collect the inert new-epoch rules already installed (durable scan, in
-    // reverse install order).
-    for (std::uint32_t n = static_cast<std::uint32_t>(next_epoch_rules.size());
-         n-- > 0;) {
-      if (next_epoch_rules[n] == 0) continue;
-      // Unbounded rollback retries must not stall against a partition the
-      // root cannot cross: the uncollected rules are inert under the
-      // checkpoint's epoch, so skip and count them instead.
-      if (ex.partition_blocks(NodeId{n})) {
-        report.rules_skipped_dead += next_epoch_rules[n];
-        next_epoch_rules[n] = 0;
-        continue;
-      }
-      ex.storm_tick();
-      (void)ex.maybe_failover();
-      ex.run_step(StepKind::kRuleDelete, true, NodeId{n}, 0, 0,
-                  next_epoch_rules[n], 0.0, false);
-      next_epoch_rules[n] = 0;
-    }
-    // Un-rewire the partitions in reverse order, with the same
-    // make-before-break patching the forward passes used. Partitions that
-    // never applied no-op against the durable configs.
-    for (std::size_t p = partitions.size(); p-- > 0;) {
-      ex.storm_tick();
-      (void)ex.maybe_failover();
-      ex.rewire_partition(partitions[p],
-                          ocs_base + static_cast<std::uint32_t>(p),
-                          stage_from.configs(), true, false);
-    }
-    // Reinstate the checkpoint's canonical routes.
-    ex.storm_tick();
-    (void)ex.maybe_failover();
-    std::uint64_t adds = 0;
-    std::uint64_t dels = 0;
-    std::uint64_t skipped = 0;
-    for (std::size_t i = 0; i < ex.routes.size(); ++i) {
-      if (ex.routes[i] == from_canon[i]) continue;
-      ex.count_rules(ex.routes[i], dels, skipped);
-      ex.count_rules(from_canon[i], adds, skipped);
-    }
-    ex.run_step(StepKind::kRuleRestore, true, NodeId{}, 0, adds, dels, 0.0,
-                false);
-    report.rules_skipped_dead += skipped;
-    ex.install_canonical(from_canon);
-    ex.push_point(0.0, ConversionScope::kChangedOnly);
-    ex.storm_tick();  // a recovery landing here still reconciles to plan
-    ex.in_rollback = false;
-    ex.stage_target = nullptr;
-    ex.stage_live.reset();
-    return false;
-  };
-
-  bool committed = false;
-  if (options_.staged) {
-    const CompiledMode* cur = &from;
-    std::vector<std::vector<Path>> cur_routes = from_routes;
-    std::uint32_t ocs_base = 0;
-    committed = true;
-    for (std::size_t s = 0; s < stage_seq.size(); ++s) {
-      const std::vector<std::vector<std::uint32_t>> partitions =
-          make_partitions(tree, cur->configs(), stage_seq[s]->configs(),
-                          options_.ocs_partitions);
-      const bool ok = run_stage(*cur, cur_routes, *stage_seq[s], ocs_base,
-                                static_cast<std::uint32_t>(partitions.size()),
-                                static_cast<std::uint32_t>(s) + 1, partitions);
-      if (!ok) {
-        committed = false;
-        obs::add(ex.c_ckpt_rollbacks);
-        break;
-      }
-      ++report.stages_committed;
-      obs::add(ex.c_ckpt_committed);
-      cur = stage_seq[s];
-      cur_routes = ex.canonical;
-      report.checkpoints.push_back(CheckpointRecord{
-          static_cast<std::uint32_t>(s) + 1, ex.now, ex.epoch,
-          cur->assignment(), cur->configs(), cur_routes});
-      ocs_base += static_cast<std::uint32_t>(partitions.size());
-    }
-  } else {
-    // -- atomic-swap baseline: delete everything, one OCS pass, add
-    // everything. Routes die switch by switch; the rule hole between the
-    // first delete and the last add is the blackhole window the staged
-    // protocol exists to remove.
-    const std::vector<std::vector<std::uint32_t>> partitions = make_partitions(
-        tree, from.configs(), to.configs(), options_.ocs_partitions);
-    bool failed = false;
-    bool ocs_applied = false;
-    std::vector<NodeId> added_switches;
-    std::vector<NodeId> deleted_switches;
-    std::vector<std::uint64_t> to_fp;
-    std::vector<std::vector<Path>> to_routes;
-    const std::vector<std::uint64_t> old_fp = ex.footprint_of(ex.routes);
-    for (std::uint32_t n = 0; n < static_cast<std::uint32_t>(old_fp.size());
-         ++n) {
-      if (old_fp[n] == 0) continue;
-      ex.storm_tick();
-      ex.replan_failed = false;  // the baseline never aborts on a re-plan
-      (void)ex.maybe_failover();
-      if (!ex.run_step(StepKind::kRuleDelete, false, NodeId{n}, 0, 0,
-                       old_fp[n], 0.0, ex.dead[n])) {
-        failed = true;
-        break;
-      }
-      deleted_switches.push_back(NodeId{n});
-      bool any_cleared = false;
-      for (std::size_t i = 0; i < ex.routes.size(); ++i) {
-        if (ex.routes[i].empty()) continue;
-        if (ex.pair_uses_switch(ex.routes[i], NodeId{n})) {
-          ex.routes[i].clear();
-          ex.canonical[i].clear();
-          ex.diverged[i] = false;
-          any_cleared = true;
-        }
-      }
-      if (any_cleared) ex.push_point(0.0, ConversionScope::kFullBlackout);
-    }
-    if (!failed && !partitions.empty()) {
-      ex.storm_tick();
-      ex.replan_failed = false;
-      (void)ex.maybe_failover();
-      if (!ex.run_step(StepKind::kOcs, false, NodeId{}, 0, 0, 0,
-                       delay.ocs_reconfigure_s, ocs_forced(0))) {
-        failed = true;
-      } else {
-        ocs_applied = true;
-        ex.configs = to.configs();
-        ex.graph = to.graph_ptr();
-        ex.refresh_live();
-        ex.push_point(delay.ocs_reconfigure_s, ConversionScope::kFullBlackout);
-      }
-    }
-    if (!failed) {
-      to_routes = resolve_routes_of(to);
-      to_fp = ex.footprint_of(to_routes);
-      // A pair comes back once every switch on its new routes is programmed.
-      std::vector<std::vector<std::uint32_t>> need(report.pairs.size());
-      for (std::size_t i = 0; i < to_routes.size(); ++i) {
-        for (const Path& path : to_routes[i]) {
-          for (NodeId n : path) {
-            if (is_switch(ex.graph->node(n).role)) need[i].push_back(n.value());
-          }
-        }
-        std::sort(need[i].begin(), need[i].end());
-        need[i].erase(std::unique(need[i].begin(), need[i].end()),
-                      need[i].end());
-      }
-      std::vector<bool> programmed(ex.graph->node_count(), false);
-      for (std::uint32_t n = 0; n < static_cast<std::uint32_t>(to_fp.size());
-           ++n) {
-        if (to_fp[n] == 0) continue;
-        ex.storm_tick();
-        ex.replan_failed = false;
-        (void)ex.maybe_failover();
-        if (!ex.run_step(StepKind::kRuleAdd, false, NodeId{n}, 0, to_fp[n], 0,
-                         0.0, ex.dead[n])) {
-          failed = true;
-          break;
-        }
-        added_switches.push_back(NodeId{n});
-        programmed[n] = true;
-        bool any_routed = false;
-        for (std::size_t i = 0; i < ex.routes.size(); ++i) {
-          if (!ex.routes[i].empty() || to_routes[i].empty()) continue;
-          const bool ready = std::all_of(
-              need[i].begin(), need[i].end(),
-              [&programmed](std::uint32_t sw) { return programmed[sw]; });
-          if (ready) {
-            ex.routes[i] = to_routes[i];
-            ex.canonical[i] = to_routes[i];
-            any_routed = true;
-          }
-        }
-        if (any_routed) ex.push_point(0.0, ConversionScope::kChangedOnly);
-      }
-      if (!failed) {
-        committed = true;
-        ex.epoch = 1;
-        ex.push_point(0.0, ConversionScope::kChangedOnly);
-        report.stages_committed = 1;
-        obs::add(ex.c_ckpt_committed);
-        report.checkpoints.push_back(CheckpointRecord{
-            1, ex.now, 1, to.assignment(), to.configs(), to_routes});
-      }
-    }
-
-    if (failed) {
-      ex.in_rollback = true;
+  // Each committed stage is a durable checkpoint; a failed one has rolled
+  // back to the previous checkpoint, and the conversion stops there.
+  bool committed = true;
+  Stage st;
+  st.from = &from;
+  st.from_routes = &report.checkpoints.back().routes;
+  for (std::size_t s = 0; s < stage_seq.size(); ++s) {
+    st.to = stage_seq[s];
+    st.epoch = static_cast<std::uint32_t>(s) + 1;
+    // The baseline moves every changed converter in one pass.
+    st.partitions =
+        make_partitions(tree, st.from->configs(), st.to->configs(),
+                        options_.staged ? options_.ocs_partitions : 1);
+    if (!ex.run_stage(st)) {
+      committed = false;
       obs::add(ex.c_ckpt_rollbacks);
-      // Collect whatever new-mode rules landed (their pairs go dark again
-      // before the circuits revert underneath them).
-      for (auto it = added_switches.rbegin(); it != added_switches.rend();
-           ++it) {
-        ex.storm_tick();
-        (void)ex.maybe_failover();
-        ex.run_step(StepKind::kRuleDelete, true, *it, 0, 0,
-                    to_fp[it->index()], 0.0, false);
-        bool any_cleared = false;
-        for (std::size_t i = 0; i < ex.routes.size(); ++i) {
-          if (ex.routes[i].empty()) continue;
-          if (ex.pair_uses_switch(ex.routes[i], *it)) {
-            ex.routes[i].clear();
-            ex.canonical[i].clear();
-            ex.diverged[i] = false;
-            any_cleared = true;
-          }
-        }
-        if (any_cleared) ex.push_point(0.0, ConversionScope::kFullBlackout);
-      }
-      if (ocs_applied) {
-        ex.storm_tick();
-        (void)ex.maybe_failover();
-        ex.run_step(StepKind::kOcs, true, NodeId{}, 0, 0, 0,
-                    delay.ocs_reconfigure_s, false);
-        ex.configs = from.configs();
-        ex.graph = from.graph_ptr();
-        ex.refresh_live();
-        ex.push_point(delay.ocs_reconfigure_s, ConversionScope::kFullBlackout);
-      }
-      // Reinstall the outgoing rules on every switch that deleted them; a
-      // pair comes back once all its switches are whole again.
-      std::vector<bool> missing(ex.graph->node_count(), false);
-      for (NodeId sw : deleted_switches) missing[sw.index()] = true;
-      for (NodeId sw : deleted_switches) {
-        ex.storm_tick();
-        (void)ex.maybe_failover();
-        ex.run_step(StepKind::kRuleRestore, true, sw, 0, old_fp[sw.index()],
-                    0, 0.0, false);
-        missing[sw.index()] = false;
-        bool any_routed = false;
-        for (std::size_t i = 0; i < ex.routes.size(); ++i) {
-          if (!ex.routes[i].empty()) continue;
-          const bool ready = std::none_of(
-              from_routes[i].begin(), from_routes[i].end(),
-              [&](const Path& path) {
-                return std::any_of(path.begin(), path.end(), [&](NodeId n) {
-                  return missing[n.index()];
-                });
-              });
-          if (ready && !from_routes[i].empty()) {
-            ex.routes[i] = from_routes[i];
-            ex.canonical[i] = from_routes[i];
-            any_routed = true;
-          }
-        }
-        if (any_routed) ex.push_point(0.0, ConversionScope::kFullBlackout);
-      }
-      ex.in_rollback = false;
+      break;
     }
+    ++report.stages_committed;
+    obs::add(ex.c_ckpt_committed);
+    report.checkpoints.push_back(CheckpointRecord{
+        st.epoch, ex.now, ex.epoch, st.to->assignment(), st.to->configs(),
+        st.to_routes});
+    st.from = st.to;
+    st.from_routes = &report.checkpoints.back().routes;
+    st.ocs_base += static_cast<std::uint32_t>(st.partitions.size());
   }
 
   if (committed) {
@@ -1682,10 +1515,8 @@ ExecutionReport ConversionExecutor::execute_under_storm(
       report.timeline.insert(pos, std::move(pt));
     }
     for (TimelinePoint& pt : report.timeline) {
-      FailureSet active = storm.active_at(pt.t);
+      const FailureSet active = storm.active_at(pt.t);  // sorted
       if (active.empty()) continue;
-      std::sort(active.links.begin(), active.links.end());
-      std::sort(active.switches.begin(), active.switches.end());
       pt.graph = std::make_shared<const Graph>(
           degrade_mapped(*pt.graph, *ex.reference, active));
     }
