@@ -169,10 +169,20 @@ RepairPlan Controller::plan_repair(CompiledMode& mode,
 
   // The post-repair operating topology: re-realize if circuits moved (the
   // failure set's link ids then need node-pair resolution against the old
-  // realization), otherwise degrade in place.
+  // realization), otherwise degrade in place. A re-realization starts from
+  // clean circuits, so node pairs an earlier repair already took out of
+  // service — present in the clean realization of the current configs,
+  // absent from old_graph — are taken out again.
   if (plan.used_converter_rewire) {
-    plan.graph = std::make_shared<const Graph>(
-        degrade_mapped(tree_.realize(plan.configs), old_graph, failures));
+    const Graph clean = tree_.realize(mode.configs());
+    FailureSet earlier;
+    for (LinkId id : links_not_in(clean, old_graph)) {
+      const Link& l = clean.link(id);
+      if (!old_graph.adjacent(l.a, l.b)) earlier.links.push_back(id);
+    }
+    plan.graph = std::make_shared<const Graph>(degrade_mapped(
+        degrade_mapped(tree_.realize(plan.configs), old_graph, failures),
+        clean, earlier));
   } else {
     plan.graph = std::make_shared<const Graph>(degrade(old_graph, failures));
   }

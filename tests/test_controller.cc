@@ -298,6 +298,60 @@ TEST(Repair, ConverterRewireRescuesServersOnDeadCores) {
   }
 }
 
+// A converter-rewire repair re-realizes the circuits from scratch; links an
+// earlier repair already took out of service must stay out.
+TEST(Repair, ConverterRewireKeepsEarlierFailuresOut) {
+  const Controller ctl = testbed_controller();
+  CompiledMode live = ctl.compile_uniform(PodMode::kGlobal);
+  const std::uint32_t connectors =
+      ctl.tree().clos().core_connectors_per_edge();
+  const FailureSet column = core_column_failure(live.graph(), 0, connectors);
+  ASSERT_FALSE(column.switches.empty());
+
+  // The circuits the column failure rewires to, from a dry run.
+  CompiledMode probe = ctl.compile_uniform(PodMode::kGlobal);
+  const Graph rewired =
+      ctl.tree().realize(ctl.plan_repair(probe, column).configs);
+
+  // First failure: a fabric link clear of the dead column that the rewired
+  // circuits keep.
+  const auto in_column = [&](NodeId n) {
+    return std::find(column.switches.begin(), column.switches.end(), n) !=
+           column.switches.end();
+  };
+  NodeId a = NodeId::invalid();
+  NodeId b = NodeId::invalid();
+  LinkId first{0};
+  for (std::uint32_t i = 0; i < live.graph().link_count() && !a.valid(); ++i) {
+    const Link& l = live.graph().link(LinkId{i});
+    if (is_switch(live.graph().node(l.a).role) &&
+        is_switch(live.graph().node(l.b).role) && !in_column(l.a) &&
+        !in_column(l.b) && rewired.adjacent(l.a, l.b)) {
+      a = l.a;
+      b = l.b;
+      first = LinkId{i};
+    }
+  }
+  ASSERT_TRUE(a.valid());
+  const RepairPlan link_plan =
+      ctl.plan_repair(live, FailureSet{{first}, {}});
+  EXPECT_FALSE(link_plan.used_converter_rewire);
+  ASSERT_FALSE(live.graph().adjacent(a, b));
+
+  // Second failure: the core column, which forces a converter rewire.
+  const RepairPlan core_plan = ctl.plan_repair(
+      live, core_column_failure(live.graph(), 0, connectors));
+  EXPECT_TRUE(core_plan.used_converter_rewire);
+  EXPECT_FALSE(live.graph().adjacent(a, b));
+  const NodeId dst = live.graph().servers().front();
+  for (const NodeId src : live.graph().servers()) {
+    if (src == dst) continue;
+    for (const Path& path : live.paths().server_paths(src, dst)) {
+      EXPECT_TRUE(is_valid_path(live.graph(), path));
+    }
+  }
+}
+
 TEST(Repair, RepairCostScalesWithBlastRadius) {
   // A one-link failure must price cheaper than a whole dead core column on
   // the same warm cache — recovery latency tracks the blast radius.
