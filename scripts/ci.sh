@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 verify (build + full ctest — which now includes the
 # golden-file benchmark gates and the cross-thread observability
-# determinism check) plus one sanitizer-preset build so the sanitize/tsan
-# configurations actually gate changes instead of bit-rotting.
+# determinism check), the perfbench reference-digest check, plus one
+# sanitizer-preset build so the sanitize/tsan configurations actually gate
+# changes instead of bit-rotting.
 #
 # Usage: scripts/ci.sh [sanitize-preset]
 #   sanitize-preset   'tsan' (default) or 'sanitize' (ASan+UBSan).
@@ -24,6 +25,12 @@ ctest --test-dir build --output-on-failure -j "${JOBS}"
 
 echo "== golden-file gate (explicit, fails loudly on drift) =="
 ctest --test-dir build --output-on-failure -R 'golden_|obs_determinism'
+
+# The benchmark's reference digests hash the conversion executor's reports
+# on all three workloads (control, closed_loop, packet): any change to a
+# step, a timeline point or a checkpoint fails here.
+echo "== perfbench digest gate =="
+python3 perfbench/selftest.py --seeds 1-2
 
 echo "== sanitizer gate (preset: ${SANITIZE_PRESET}) =="
 cmake --preset "${SANITIZE_PRESET}"
