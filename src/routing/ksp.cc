@@ -4,6 +4,7 @@
 #include <deque>
 #include <set>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "exec/parallel.h"
 
@@ -13,13 +14,13 @@ namespace {
 // Total order on paths: length first, then node values lexicographically.
 // Used both for candidate selection in Yen's algorithm and for result
 // determinism.
-bool path_less(const Path& a, const Path& b) {
-  if (a.size() != b.size()) return a.size() < b.size();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return a[i] < b[i];
+struct PathLess {
+  bool operator()(const Path& a, const Path& b) const {
+    if (a.size() != b.size()) return a.size() < b.size();
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
   }
-  return false;
-}
+};
 
 // Existence-level switch-switch adjacency keys of g (smaller id first).
 std::set<std::uint64_t> switch_adjacencies(const Graph& g) {
@@ -56,102 +57,156 @@ AdjacencyDelta adjacency_delta(const Graph& from, const Graph& to) {
   return delta;
 }
 
-std::optional<Path> KspSolver::shortest_path(NodeId src, NodeId dst) const {
-  return constrained_shortest(src, dst, {}, {});
+struct KspSolver::Workspace {
+  explicit Workspace(std::size_t nodes)
+      : seen(nodes, 0), banned(nodes, 0), parent(nodes) {
+    queue.reserve(nodes);
+  }
+
+  // A node is seen / banned in the current search iff its stamp equals
+  // `epoch`; bumping the epoch clears both arrays in O(1).
+  std::vector<std::uint32_t> seen;
+  std::vector<std::uint32_t> banned;
+  std::uint32_t epoch{0};
+  std::vector<NodeId> parent;       // valid where seen
+  std::vector<NodeId> queue;        // BFS frontier, consumed from a head index
+  std::vector<NodeId> banned_next;  // next hops src may not take
+  Path path;                        // candidate being assembled
+  KspStats stats;
+};
+
+KspSolver::KspSolver(const Graph& graph) : graph_{&graph} {
+  const std::size_t n = graph.node_count();
+  transit_.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    transit_[i] = is_switch(graph.node(NodeId{i}).role) ? 1 : 0;
+  }
+  offsets_.reserve(n + 1);
+  offsets_.push_back(0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const auto begin = static_cast<std::ptrdiff_t>(peers_.size());
+    for (const Adjacency& adj : graph.neighbors(NodeId{i})) {
+      if (transit_[adj.peer.index()] != 0) peers_.push_back(adj.peer);
+    }
+    std::sort(peers_.begin() + begin, peers_.end());
+    peers_.erase(std::unique(peers_.begin() + begin, peers_.end()),
+                 peers_.end());
+    offsets_.push_back(static_cast<std::uint32_t>(peers_.size()));
+  }
 }
 
-std::optional<Path> KspSolver::constrained_shortest(
-    NodeId src, NodeId dst, const std::unordered_set<NodeId>& banned_nodes,
-    const std::unordered_set<EdgeKey>& banned_edges) const {
-  const Graph& g = *graph_;
-  if (src.index() >= g.node_count() || dst.index() >= g.node_count()) {
+bool KspSolver::search(Workspace& ws, NodeId src, NodeId dst,
+                       std::span<const NodeId> banned_nodes, Path& out) const {
+  const std::uint32_t epoch = ++ws.epoch;
+  for (const NodeId n : banned_nodes) ws.banned[n.index()] = epoch;
+  if (ws.banned[dst.index()] == epoch) return false;
+
+  // Servers are never transited, so a server dst is in no CSR row; it is
+  // discovered from the first expanded node adjacent to it.
+  const bool server_dst = transit_[dst.index()] == 0;
+  const auto adjacent_to_dst = [&](NodeId u) {
+    for (const Adjacency& adj : graph_->neighbors(dst)) {
+      if (adj.peer == u) return true;
+    }
+    return false;
+  };
+  const auto banned_hop = [&](NodeId u, NodeId v) {
+    return u == src && std::find(ws.banned_next.begin(), ws.banned_next.end(),
+                                 v) != ws.banned_next.end();
+  };
+
+  ws.queue.clear();
+  ws.queue.push_back(src);
+  ws.seen[src.index()] = epoch;
+  bool found = false;
+  for (std::size_t head = 0; head < ws.queue.size() && !found; ++head) {
+    const NodeId u = ws.queue[head];
+    ++ws.stats.bfs_expansions;
+    if (server_dst && adjacent_to_dst(u) && !banned_hop(u, dst)) {
+      ws.parent[dst.index()] = u;
+      found = true;
+      break;
+    }
+    const std::uint32_t row_end = offsets_[u.index() + 1];
+    for (std::uint32_t e = offsets_[u.index()]; e < row_end; ++e) {
+      const NodeId v = peers_[e];
+      if (ws.seen[v.index()] == epoch || ws.banned[v.index()] == epoch) {
+        continue;
+      }
+      if (banned_hop(u, v)) continue;
+      ws.seen[v.index()] = epoch;
+      ws.parent[v.index()] = u;
+      if (v == dst) {
+        found = true;
+        break;
+      }
+      ws.queue.push_back(v);
+    }
+  }
+  if (!found) return false;
+  const std::size_t begin = out.size();
+  for (NodeId n = dst; n != src; n = ws.parent[n.index()]) out.push_back(n);
+  std::reverse(out.begin() + static_cast<std::ptrdiff_t>(begin), out.end());
+  return true;
+}
+
+void KspSolver::check_ids(NodeId src, NodeId dst) const {
+  if (src.index() >= graph_->node_count() ||
+      dst.index() >= graph_->node_count()) {
     throw std::invalid_argument("shortest_path: bad node id");
   }
+}
+
+std::optional<Path> KspSolver::shortest_path(NodeId src, NodeId dst) const {
+  check_ids(src, dst);
   if (src == dst) return Path{src};
-  if (banned_nodes.contains(dst)) return std::nullopt;
-
-  // BFS with deterministic parent choice: nodes are discovered in adjacency
-  // order from lexicographically processed frontiers, so the reconstructed
-  // path is reproducible.
-  std::vector<NodeId> parent(g.node_count(), NodeId::invalid());
-  std::vector<bool> visited(g.node_count(), false);
-  std::deque<NodeId> queue;
-  queue.push_back(src);
-  visited[src.index()] = true;
-
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    if (u == dst) break;
-    // Traffic transits switches only.
-    if (u != src && !is_switch(g.node(u).role)) continue;
-    // Collect admissible neighbors sorted by id for determinism (adjacency
-    // order is build-dependent; sorted order is canonical).
-    std::vector<NodeId> next;
-    for (const Adjacency& adj : g.neighbors(u)) {
-      if (visited[adj.peer.index()]) continue;
-      if (banned_nodes.contains(adj.peer)) continue;
-      if (banned_edges.contains(edge_key(u, adj.peer))) continue;
-      next.push_back(adj.peer);
-    }
-    std::sort(next.begin(), next.end());
-    next.erase(std::unique(next.begin(), next.end()), next.end());
-    for (NodeId v : next) {
-      visited[v.index()] = true;
-      parent[v.index()] = u;
-      queue.push_back(v);
-    }
-  }
-
-  if (!visited[dst.index()]) return std::nullopt;
-  Path path;
-  for (NodeId n = dst; n.valid(); n = parent[n.index()]) path.push_back(n);
-  std::reverse(path.begin(), path.end());
+  Workspace ws{graph_->node_count()};
+  Path path{src};
+  if (!search(ws, src, dst, {}, path)) return std::nullopt;
   return path;
 }
 
 std::vector<Path> KspSolver::k_shortest_paths(NodeId src, NodeId dst,
-                                              std::uint32_t k) const {
+                                              std::uint32_t k,
+                                              KspStats* stats) const {
   std::vector<Path> result;
   if (k == 0) return result;
-  auto first = shortest_path(src, dst);
-  if (!first) return result;
-  result.push_back(std::move(*first));
+  check_ids(src, dst);
+  if (src == dst) {
+    result.push_back(Path{src});
+    return result;
+  }
+  Workspace ws{graph_->node_count()};
+  Path first{src};
+  if (search(ws, src, dst, {}, first)) result.push_back(std::move(first));
 
   // Candidates ordered by (length, lexicographic), deduplicated.
-  auto cmp = [](const Path& a, const Path& b) { return path_less(a, b); };
-  std::set<Path, decltype(cmp)> candidates(cmp);
-
-  while (result.size() < k) {
+  std::set<Path, PathLess> candidates;
+  while (!result.empty() && result.size() < k) {
     const Path& prev = result.back();
     for (std::size_t i = 0; i + 1 < prev.size(); ++i) {
-      const NodeId spur = prev[i];
-      const std::span<const NodeId> root{prev.data(), i + 1};
-
-      std::unordered_set<EdgeKey> banned_edges;
+      // Root prev[0..i]; Yen's bans the root's other nodes and, out of the
+      // spur prev[i], the next hop of every accepted path sharing the root.
+      const auto root_end = prev.begin() + static_cast<std::ptrdiff_t>(i + 1);
+      ws.banned_next.clear();
       for (const Path& p : result) {
-        if (p.size() > i + 1 &&
-            std::equal(root.begin(), root.end(), p.begin())) {
-          banned_edges.insert(edge_key(p[i], p[i + 1]));
+        if (p.size() > i + 1 && std::equal(prev.begin(), root_end, p.begin())) {
+          ws.banned_next.push_back(p[i + 1]);
         }
       }
-      std::unordered_set<NodeId> banned_nodes;
-      for (std::size_t j = 0; j < i; ++j) banned_nodes.insert(prev[j]);
-
-      const auto spur_path =
-          constrained_shortest(spur, dst, banned_nodes, banned_edges);
-      if (!spur_path) continue;
-
-      Path total(root.begin(), root.end());
-      total.insert(total.end(), spur_path->begin() + 1, spur_path->end());
-      if (std::none_of(result.begin(), result.end(),
-                       [&](const Path& p) { return p == total; })) {
-        candidates.insert(std::move(total));
+      ++ws.stats.spur_searches;
+      ws.path.assign(prev.begin(), root_end);
+      if (!search(ws, prev[i], dst, {prev.data(), i}, ws.path)) continue;
+      if (std::find(result.begin(), result.end(), ws.path) == result.end()) {
+        candidates.insert(ws.path);
       }
     }
     if (candidates.empty()) break;
-    result.push_back(*candidates.begin());
-    candidates.erase(candidates.begin());
+    result.push_back(std::move(candidates.extract(candidates.begin()).value()));
+  }
+  if (stats != nullptr) {
+    stats->spur_searches += ws.stats.spur_searches;
+    stats->bfs_expansions += ws.stats.bfs_expansions;
   }
   return result;
 }
@@ -160,12 +215,21 @@ void PathCache::attach_obs(const obs::ObsSink& sink) {
   obs::MetricsRegistry* reg = sink.metrics();
   if (reg == nullptr) {
     c_hits_ = c_misses_ = c_computed_ = c_evicted_ = nullptr;
+    c_spur_searches_ = c_bfs_expansions_ = nullptr;
     return;
   }
   c_hits_ = &reg->counter("routing.ksp.cache_hits");
   c_misses_ = &reg->counter("routing.ksp.cache_misses");
   c_computed_ = &reg->counter("routing.ksp.pairs_computed");
   c_evicted_ = &reg->counter("routing.ksp.pairs_evicted");
+  c_spur_searches_ = &reg->counter("routing.ksp.spur_searches");
+  c_bfs_expansions_ = &reg->counter("routing.ksp.bfs_expansions");
+}
+
+void PathCache::count(const KspStats& stats) {
+  obs::add(c_computed_);
+  obs::add(c_spur_searches_, stats.spur_searches);
+  obs::add(c_bfs_expansions_, stats.bfs_expansions);
 }
 
 const std::vector<Path>& PathCache::switch_paths(NodeId src_switch,
@@ -179,8 +243,9 @@ const std::vector<Path>& PathCache::switch_paths(NodeId src_switch,
     return it->second;
   }
   obs::add(c_misses_);
-  obs::add(c_computed_);
-  auto paths = solver_.k_shortest_paths(src_switch, dst_switch, k_);
+  KspStats stats;
+  auto paths = solver_.k_shortest_paths(src_switch, dst_switch, k_, &stats);
+  count(stats);
   return cache_.emplace(key, std::move(paths)).first->second;
 }
 
@@ -205,19 +270,23 @@ std::size_t PathCache::precompute(
     todo.emplace_back(src, dst);
   }
 
-  // The per-pair Yen's runs only read the graph (KspSolver is const), so
-  // they fan out safely; insertion stays serial because the map is not.
-  std::vector<std::vector<Path>> computed = exec::parallel_map(
-      pool, todo.size(), [this, &todo](std::size_t i) {
-        return solver_.k_shortest_paths(todo[i].first, todo[i].second, k_);
+  // The per-pair Yen's runs only read the solver (each call owns its
+  // workspace), so they fan out safely; insertion and counting stay serial
+  // because the map is not thread-safe and the sums stay in pair order.
+  std::vector<std::pair<std::vector<Path>, KspStats>> computed =
+      exec::parallel_map(pool, todo.size(), [this, &todo](std::size_t i) {
+        KspStats stats;
+        auto paths = solver_.k_shortest_paths(todo[i].first, todo[i].second,
+                                              k_, &stats);
+        return std::pair{std::move(paths), stats};
       });
   for (std::size_t i = 0; i < todo.size(); ++i) {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(todo[i].first.value()) << 32) |
         todo[i].second.value();
-    cache_.emplace(key, std::move(computed[i]));
+    cache_.emplace(key, std::move(computed[i].first));
+    count(computed[i].second);
   }
-  obs::add(c_computed_, todo.size());
   return todo.size();
 }
 

@@ -1,16 +1,20 @@
 #include "routing/path.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 namespace flattree {
 
 bool is_valid_path(const Graph& graph, std::span<const NodeId> path) {
   if (path.empty()) return false;
-  std::unordered_set<NodeId> seen;
   for (std::size_t i = 0; i < path.size(); ++i) {
     const NodeId n = path[i];
     if (n.index() >= graph.node_count()) return false;
-    if (!seen.insert(n).second) return false;  // loop
+    // Loop check against the prefix: paths are a handful of hops, so a scan
+    // beats building a hash set per call.
+    const auto prefix = path.first(i);
+    if (std::find(prefix.begin(), prefix.end(), n) != prefix.end()) {
+      return false;
+    }
     const bool interior = i > 0 && i + 1 < path.size();
     if (interior && !is_switch(graph.node(n).role)) return false;
   }
