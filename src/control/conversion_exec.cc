@@ -423,6 +423,17 @@ struct Exec {
     return &stage_live->paths();
   }
 
+  // Server paths on the repaired stage plan; empty when there is none or
+  // when the storm detached either server from the repaired graph (its
+  // access link is down there, so it has no attachment switch).
+  std::vector<Path> stage_live_paths(NodeId src, NodeId dst) {
+    PathCache* repaired = ensure_stage_live();
+    if (repaired == nullptr) return {};
+    const Graph& rg = stage_live->graph();
+    if (rg.degree(src) == 0 || rg.degree(dst) == 0) return {};
+    return repaired->server_paths(src, dst);
+  }
+
   bool all_valid_on(const Graph& g, const std::vector<Path>& paths) const {
     if (paths.empty()) return false;
     return std::all_of(paths.begin(), paths.end(), [&](const Path& p) {
@@ -530,8 +541,7 @@ struct Exec {
       // When the circuits match the stage target, serve the controller's
       // repaired stage plan directly.
       std::vector<Path> sol;
-      PathCache* repaired = on_target ? ensure_stage_live() : nullptr;
-      if (repaired != nullptr) sol = repaired->server_paths(src, dst);
+      if (on_target) sol = stage_live_paths(src, dst);
       if (!all_valid_on(eff, sol)) sol = solve_live(src, dst);
       // Targeted patch: keep the surviving paths, top the set back up from
       // the solve. A pair whose solve comes up empty still sheds its dead
@@ -634,9 +644,7 @@ struct Exec {
       std::vector<Path> sol;
       if (!all_valid_on(*live, target[i])) {
         const auto [src, dst] = report.pairs[i];
-        if (PathCache* repaired = ensure_stage_live(); repaired != nullptr) {
-          sol = repaired->server_paths(src, dst);
-        }
+        sol = stage_live_paths(src, dst);
         if (!all_valid_on(*live, sol)) {
           sol = paths_on(live_cache, *live, src, dst);
         }
