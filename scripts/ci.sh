@@ -35,7 +35,8 @@ python3 perfbench/selftest.py --seeds 1-2
 echo "== sanitizer gate (preset: ${SANITIZE_PRESET}) =="
 cmake --preset "${SANITIZE_PRESET}"
 cmake --build "build-${SANITIZE_PRESET}" -j "${JOBS}" \
-  --target test_exec test_obs test_ksp_properties test_event_queue \
+  --target test_exec test_obs test_ksp_properties test_ksp_oracle \
+           test_event_queue \
            test_packet_diff test_conversion_exec test_conversion_storm \
            test_autopilot test_hierarchy test_warm_repair_diff \
            test_fluid_incremental_diff \
@@ -43,6 +44,9 @@ cmake --build "build-${SANITIZE_PRESET}" -j "${JOBS}" \
 "./build-${SANITIZE_PRESET}/tests/test_exec"
 "./build-${SANITIZE_PRESET}/tests/test_obs"
 "./build-${SANITIZE_PRESET}/tests/test_ksp_properties"
+# The Yen's kernel against its reference oracle (CSR rows, epoch-stamped
+# workspace arrays) plus the work counters summed across pool workers.
+"./build-${SANITIZE_PRESET}/tests/test_ksp_oracle"
 # The pooled event engine's property/fuzz battery and the engine
 # differential (which also drives ShardedPacketSim across a pool, the
 # TSan-relevant path).
