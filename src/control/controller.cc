@@ -43,17 +43,15 @@ CompiledMode::CompiledMode(const FlatTree& tree, ModeAssignment assignment,
 
 RepairApplication CompiledMode::apply_repair(
     std::shared_ptr<const Graph> graph, std::vector<ConverterConfig> configs,
-    std::span<const NodeId> failed_switches, bool warm) {
+    std::span<const NodeId> failed_switches) {
   RepairApplication application;
   // The outgoing realization must outlive the rebind: the cache still points
   // at it and checks node-id compatibility against it.
   const std::shared_ptr<const Graph> outgoing = std::move(graph_);
   graph_ = std::move(graph);
   configs_ = std::move(configs);
-  application.pairs_invalidated =
-      warm ? paths_->rebind_warm(*graph_, &application.evicted)
-           : paths_->rebind_and_invalidate(*graph_, failed_switches,
-                                           &application.evicted);
+  application.pairs_invalidated = paths_->rebind_and_invalidate(
+      *graph_, failed_switches, &application.evicted);
   application.pairs_retained = paths_->cached_pairs();
   return application;
 }
@@ -190,12 +188,8 @@ RepairPlan Controller::plan_repair(CompiledMode& mode,
   // Incremental routing update: evict exactly the broken pairs, re-solve
   // them on the repaired topology, and price the rule delta per evicted
   // pair — recovery latency scales with the blast radius, not the network.
-  // Warm eviction is only sound for pure degrades: a converter rewire adds
-  // adjacencies, where rebind_warm's exact eviction and the legacy
-  // survivors-stay-valid policy genuinely diverge.
-  const bool warm = options_.warm_repair && !plan.used_converter_rewire;
   RepairApplication application =
-      mode.apply_repair(plan.graph, plan.configs, failures.switches, warm);
+      mode.apply_repair(plan.graph, plan.configs, failures.switches);
   plan.pairs_invalidated = application.pairs_invalidated;
   plan.pairs_retained = application.pairs_retained;
   if (tracer != nullptr) {

@@ -101,17 +101,9 @@ class CompiledMode {
   // statistics are NOT recomputed — they keep describing the last full
   // compile; the incremental delta lives in the returned application and
   // the RepairPlan built from it.
-  // With `warm`, the eviction runs PathCache::rebind_warm instead: the
-  // provably minimal exact set under the adjacency delta, so surviving
-  // entries are byte-identical to a cold recompute. Only sound when the
-  // repair is a pure degrade (no converter rewire): an added adjacency
-  // makes warm eviction *exact* where the legacy policy is
-  // survivors-stay-valid, and the two genuinely diverge — plan_repair
-  // falls back to the legacy policy for rewires.
   RepairApplication apply_repair(std::shared_ptr<const Graph> graph,
                                  std::vector<ConverterConfig> configs,
-                                 std::span<const NodeId> failed_switches,
-                                 bool warm = false);
+                                 std::span<const NodeId> failed_switches);
 
   // Prefix-aggregated rule statistics (only if compiled with count_rules).
   [[nodiscard]] bool has_rule_counts() const { return has_rule_counts_; }
@@ -139,14 +131,6 @@ struct ControllerOptions {
   std::uint32_t k_clos{8};
   ConversionDelayModel delay{};
   bool count_rules{true};  // disable for large topologies
-  // plan_repair evicts via PathCache::rebind_warm (provably minimal exact
-  // eviction under the failure's adjacency delta) instead of the legacy
-  // rebind_and_invalidate survivors-stay-valid scan. Pure-removal repairs
-  // produce the identical post-repair route state either way (pinned by
-  // tests/test_warm_repair_diff.cc); repairs that rewire converters always
-  // use the legacy policy, where the added circuits make the two semantics
-  // diverge. Off by default so existing goldens stay byte-identical.
-  bool warm_repair{false};
   // Observability: when attached, compiled modes count their path-cache
   // traffic (routing.ksp.*) and plan_repair/plan_conversion record
   // control.* counters, rule-delta histograms, Table-3 priced delays, and

@@ -334,8 +334,7 @@ std::size_t PathCache::rebind_and_invalidate(
   return evicted;
 }
 
-std::size_t PathCache::rebind_warm(const Graph& graph,
-                                   std::vector<EvictedPair>* evicted_out) {
+std::size_t PathCache::rebind_warm(const Graph& graph) {
   if (graph.node_count() != graph_->node_count()) {
     throw std::invalid_argument(
         "PathCache::rebind_warm: node ids must be shared");
@@ -422,15 +421,6 @@ std::size_t PathCache::rebind_warm(const Graph& graph,
       }
     }
     if (evict) {
-      if (evicted_out != nullptr) {
-        EvictedPair pair;
-        pair.src = src;
-        pair.dst = dst;
-        for (const Path& path : paths) {
-          if (!path.empty()) pair.rules += path.size() - 1;
-        }
-        evicted_out->push_back(pair);
-      }
       it = cache_.erase(it);
       ++evicted;
     } else {

@@ -181,8 +181,7 @@ class PathCache {
   // Surviving entries are byte-identical to a cold recompute on `graph`
   // (pinned by tests/test_ksp_properties.cc WarmDeltaMatchesCold*); evicted
   // pairs recompute lazily on next lookup. Returns the eviction count.
-  std::size_t rebind_warm(const Graph& graph,
-                          std::vector<EvictedPair>* evicted_out = nullptr);
+  std::size_t rebind_warm(const Graph& graph);
 
   void clear() { cache_.clear(); }
 
