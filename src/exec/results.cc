@@ -1,34 +1,9 @@
 #include "exec/results.h"
 
-#include <charconv>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
+#include "obs/json.h"
 
 namespace flattree::exec {
 namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
 
 void append_fields(
     std::string& out,
@@ -37,7 +12,7 @@ void append_fields(
   for (const auto& [key, value] : fields) {
     if (!first) out.push_back(',');
     first = false;
-    append_escaped(out, key);
+    obs::json::append_string(out, key);
     out.push_back(':');
     value.append_json(out);
   }
@@ -46,37 +21,13 @@ void append_fields(
 }  // namespace
 
 void JsonValue::append_json(std::string& out) const {
-  char buf[32];
   switch (kind_) {
-    case Kind::kNull:
-      out += "null";
-      return;
-    case Kind::kBool:
-      out += bool_ ? "true" : "false";
-      return;
-    case Kind::kInt: {
-      const auto r = std::to_chars(buf, buf + sizeof(buf), int_);
-      out.append(buf, r.ptr);
-      return;
-    }
-    case Kind::kUint: {
-      const auto r = std::to_chars(buf, buf + sizeof(buf), uint_);
-      out.append(buf, r.ptr);
-      return;
-    }
-    case Kind::kDouble: {
-      if (!std::isfinite(double_)) {
-        out += "null";
-        return;
-      }
-      // Shortest round-trip decimal: deterministic and exact.
-      const auto r = std::to_chars(buf, buf + sizeof(buf), double_);
-      out.append(buf, r.ptr);
-      return;
-    }
-    case Kind::kString:
-      append_escaped(out, string_);
-      return;
+    case Kind::kNull: out += "null"; return;
+    case Kind::kBool: out += bool_ ? "true" : "false"; return;
+    case Kind::kInt: obs::json::append_number(out, int_); return;
+    case Kind::kUint: obs::json::append_number(out, uint_); return;
+    case Kind::kDouble: obs::json::append_number(out, double_); return;
+    case Kind::kString: obs::json::append_string(out, string_); return;
   }
 }
 
@@ -89,9 +40,9 @@ void ResultRow::append_json(std::string& out) const {
 std::string BenchReport::to_json() const {
   std::string out;
   out += "{\"bench\":";
-  append_escaped(out, bench);
+  obs::json::append_string(out, bench);
   out += ",\"seed\":";
-  JsonValue{seed}.append_json(out);
+  obs::json::append_number(out, seed);
   if (!meta.empty()) {
     out.push_back(',');
     append_fields(out, meta);
@@ -111,34 +62,9 @@ std::string BenchReport::to_json() const {
   return out;
 }
 
-bool write_text_file(const std::string& content, const std::string& path,
-                     std::string* error) {
-  const std::string& payload = content;
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open " + tmp;
-    return false;
-  }
-  const bool wrote =
-      std::fwrite(payload.data(), 1, payload.size(), f) == payload.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    if (error != nullptr) *error = "short write to " + tmp;
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    if (error != nullptr) *error = "cannot rename " + tmp + " to " + path;
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
 bool write_report(const BenchReport& report, const std::string& path,
                   std::string* error) {
-  return write_text_file(report.to_json(), path, error);
+  return obs::json::write_file(path, report.to_json(), error);
 }
 
 }  // namespace flattree::exec

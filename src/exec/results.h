@@ -16,8 +16,8 @@
 
 namespace flattree::exec {
 
-// Scalar JSON value. Doubles serialize via shortest-round-trip
-// (std::to_chars); non-finite doubles serialize as null.
+// Scalar JSON value, encoded through the shared JSON module (obs/json.h):
+// shortest-round-trip doubles, non-finite doubles as null.
 class JsonValue {
  public:
   JsonValue() = default;
@@ -78,11 +78,6 @@ struct BenchReport {
 
   [[nodiscard]] std::string to_json() const;
 };
-
-// Writes `content` to `path` atomically (rename from a sibling temp file).
-// Returns false and fills `*error` on failure.
-bool write_text_file(const std::string& content, const std::string& path,
-                     std::string* error = nullptr);
 
 // Writes `report.to_json()` to `path` (atomically via rename from a
 // sibling temp file). Returns false and fills `*error` on failure.

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "obs/json.h"
+
 namespace flattree::exec {
 
 ExperimentRunner::ExperimentRunner(RunnerOptions options)
@@ -45,7 +47,8 @@ bool ExperimentRunner::write() {
     // Only deterministic-scope metrics reach the serialized outputs; the
     // full set (diagnostics included) goes to stderr with the timings.
     report_.metrics_json = metrics_->metrics_object_json();
-    if (!write_text_file(metrics_->to_json(), options_.metrics_out, &error)) {
+    if (!obs::json::write_file(options_.metrics_out, metrics_->to_json(),
+                               &error)) {
       std::fprintf(stderr, "[exec] %s: %s\n", options_.name.c_str(),
                    error.c_str());
       ok = false;

@@ -1,30 +1,6 @@
 #include "obs/telemetry.h"
 
-#include <charconv>
-#include <cmath>
-
 namespace flattree::obs {
-namespace {
-
-// Shortest-round-trip decimal, matching metrics.cc / exec/results.cc so
-// every deterministic JSON export in the tree formats numbers identically.
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[32];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, r.ptr);
-}
-
-void append_uint(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, r.ptr);
-}
-
-}  // namespace
 
 void PairTelemetry::record(const FlowRecord& record) {
   PairCounters& c = pairs_[{record.src, record.dst}];
@@ -58,30 +34,6 @@ void PairTelemetry::clear() {
   pairs_.clear();
   total_bytes_ = 0.0;
   total_flows_ = 0;
-}
-
-std::string PairTelemetry::to_json() const {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [key, c] : pairs_) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"";
-    append_uint(out, key.first);
-    out += "-";
-    append_uint(out, key.second);
-    out += "\":{\"flows\":";
-    append_uint(out, c.flows);
-    out += ",\"completed\":";
-    append_uint(out, c.completed);
-    out += ",\"bytes\":";
-    append_double(out, c.bytes);
-    out += ",\"fct_sum_s\":";
-    append_double(out, c.fct_sum_s);
-    out += "}";
-  }
-  out += "}";
-  return out;
 }
 
 }  // namespace flattree::obs

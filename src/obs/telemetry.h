@@ -10,7 +10,7 @@
 // per-directed-pair counters with the same determinism contract as the
 // registry — the aggregate is a pure function of the record multiset
 // (commutative adds, ordered storage), so merging shards or thread counts
-// never changes the exported bytes.
+// never changes what the estimator folds.
 //
 // Producers: collect_flow_records (sim/fluid.h) for the fluid simulator,
 // PacketSim::export_flow_records for the packet simulator. Consumer:
@@ -47,9 +47,9 @@ struct PairCounters {
 };
 
 // Deterministic per-pair accumulator. Storage is ordered by (src, dst), so
-// iteration and export order never depend on insertion order; record() and
+// iteration order never depends on insertion order; record() and
 // merge() are commutative in the value domain (sums of doubles folded in
-// key order), so a fixed record multiset always exports identical bytes.
+// key order), so a fixed record multiset always yields identical values.
 // Not thread-safe: shards each own one and merge sequentially, exactly like
 // the exec layer's result rows.
 class PairTelemetry {
@@ -67,11 +67,6 @@ class PairTelemetry {
   [[nodiscard]] double total_bytes() const { return total_bytes_; }
   [[nodiscard]] std::uint64_t total_flows() const { return total_flows_; }
   void clear();
-
-  // {"src-dst":{"flows":...,"completed":...,"bytes":...,"fct_sum_s":...},...}
-  // sorted by pair, shortest-round-trip doubles — byte-identical for a
-  // fixed record multiset.
-  [[nodiscard]] std::string to_json() const;
 
  private:
   std::map<std::pair<std::uint32_t, std::uint32_t>, PairCounters> pairs_;

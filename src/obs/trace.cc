@@ -1,36 +1,13 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <utility>
 
+#include "obs/json.h"
+
 namespace flattree::obs {
-namespace {
-
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "0";
-    return;
-  }
-  char buf[32];
-  const auto r = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, r.ptr);
-}
-
-void append_escaped(std::string& out, const char* s) {
-  out.push_back('"');
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  out.push_back('"');
-}
-
-}  // namespace
 
 EventTracer::EventTracer(std::size_t capacity)
     : capacity_{capacity == 0 ? 1 : capacity} {
@@ -118,24 +95,22 @@ std::string EventTracer::chrome_trace_json() const {
     if (!first) out.push_back(',');
     first = false;
     out += "\n{\"name\":";
-    append_escaped(out, event.name);
+    json::append_string(out, event.name);
     out += ",\"cat\":";
-    append_escaped(out, event.cat);
+    json::append_string(out, event.cat);
     out += ",\"ph\":\"";
     out.push_back(event.phase);
     out += "\",\"ts\":";
-    append_double(out, event.ts_us);
+    json::append_number(out, event.ts_us);
     if (event.phase == 'X') {
       out += ",\"dur\":";
-      append_double(out, event.dur_us);
+      json::append_number(out, event.dur_us);
     }
     out += ",\"pid\":0,\"tid\":";
-    append_double(out, static_cast<double>(event.track));
+    json::append_number(out, std::uint64_t{event.track});
     if (event.arg != TraceEvent::kNoArg) {
       out += ",\"args\":{\"value\":";
-      char buf[24];
-      const auto r = std::to_chars(buf, buf + sizeof(buf), event.arg);
-      out.append(buf, r.ptr);
+      json::append_number(out, event.arg);
       out += "}";
     } else if (event.phase == 'i') {
       out += ",\"s\":\"g\"";  // global-scope instant: visible at any zoom
@@ -186,27 +161,7 @@ std::string EventTracer::text_summary() const {
 
 bool EventTracer::write_chrome_trace(const std::string& path,
                                      std::string* error) const {
-  const std::string payload = chrome_trace_json();
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open " + tmp;
-    return false;
-  }
-  const bool wrote =
-      std::fwrite(payload.data(), 1, payload.size(), f) == payload.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    if (error != nullptr) *error = "short write to " + tmp;
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    if (error != nullptr) *error = "cannot rename " + tmp + " to " + path;
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return json::write_file(path, chrome_trace_json(), error);
 }
 
 void EventTracer::clear() {

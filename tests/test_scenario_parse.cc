@@ -72,6 +72,15 @@ TEST(ScenarioParse, TopLevelMustBeObject) {
                      "bad.json:1:1: expected a scenario object, got array");
 }
 
+// A million nested '[' once overflowed the recursive-descent stack
+// (SIGSEGV); nesting past obs::json::kMaxDepth is a positioned diagnostic
+// at the first bracket beyond the limit.
+TEST(ScenarioParse, NestingDepthIsBounded) {
+  expect_parse_error(std::string(1000000, '['),
+                     "bad.json:1:257: arrays and objects nested deeper than "
+                     "256 levels");
+}
+
 // ---- scenario section -------------------------------------------------------
 
 TEST(ScenarioParse, MissingName) {
