@@ -32,9 +32,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -352,20 +350,14 @@ KspCellResult run_ksp_cell(const Graph& base, std::uint64_t seed) {
   return r;
 }
 
-// Flat baseline JSON: {"k4_churn_events_per_sec": N,
-//                      "k4_churn_links_frac_max": F}
-double read_baseline_field(const std::string& text, const char* name) {
-  const std::string key = std::string{"\""} + name + "\"";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) {
-    std::fprintf(stderr, "fluid_incremental: baseline lacks %s\n", name);
-    std::exit(2);
-  }
-  const std::size_t colon = text.find(':', at);
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 int run(const BenchOptions& bench, exec::RunnerOptions options) {
+  // Read before any cell runs: a bad baseline fails fast, with exit 2.
+  const std::vector<double> baseline =
+      bench.baseline_path.empty()
+          ? std::vector<double>{}
+          : bench::read_baseline(
+                "fluid_incremental", bench.baseline_path,
+                {"k8_churn_events_per_sec", "k8_churn_links_frac_max"});
   exec::ExperimentRunner runner{std::move(options)};
 
   // k=8 churn is always present: it is the gate cell (--baseline), large
@@ -505,19 +497,8 @@ int run(const BenchOptions& bench, exec::RunnerOptions options) {
   }
 
   if (!bench.baseline_path.empty()) {
-    std::ifstream in{bench.baseline_path};
-    if (!in) {
-      std::fprintf(stderr, "fluid_incremental: cannot open baseline %s\n",
-                   bench.baseline_path.c_str());
-      return 2;
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const std::string text = buffer.str();
-    const double base_eps =
-        read_baseline_field(text, "k8_churn_events_per_sec");
-    const double frac_max =
-        read_baseline_field(text, "k8_churn_links_frac_max");
+    const double base_eps = baseline[0];
+    const double frac_max = baseline[1];
     // Wall-clock half: best of three re-runs, 2x slack (catches
     // order-of-magnitude regressions, not machine noise). The gate cell's
     // spec index is 3 in both quick and full mode, so the re-run replays

@@ -20,8 +20,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -126,31 +124,13 @@ std::pair<std::uint64_t, double> run_monolithic(std::uint32_t k,
   return {sim.events_processed(), wall};
 }
 
-// Reads "events_per_sec" for the k=8 row out of the pinned baseline JSON.
-// The file is flat enough ({"k8_events_per_sec": N}) that a string scan is
-// all the parsing needed.
-double read_baseline(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) {
-    std::fprintf(stderr, "packet_scale: cannot open baseline %s\n",
-                 path.c_str());
-    std::exit(2);
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::string key = "\"k8_events_per_sec\"";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) {
-    std::fprintf(stderr, "packet_scale: %s lacks %s\n", path.c_str(),
-                 key.c_str());
-    std::exit(2);
-  }
-  const std::size_t colon = text.find(':', at);
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 int run(const ScaleOptions& scale, exec::RunnerOptions options) {
+  // Read before any cell runs: a bad baseline fails fast, with exit 2.
+  const double baseline =
+      scale.baseline_path.empty()
+          ? 0.0
+          : bench::read_baseline("packet_scale", scale.baseline_path,
+                                 {"k8_events_per_sec"})[0];
   exec::ExperimentRunner runner{std::move(options)};
   const std::vector<std::uint32_t> ks =
       scale.quick ? std::vector<std::uint32_t>{8}
@@ -235,7 +215,6 @@ int run(const ScaleOptions& scale, exec::RunnerOptions options) {
   }
 
   if (!scale.baseline_path.empty()) {
-    const double baseline = read_baseline(scale.baseline_path);
     // The k=8 quick run is ~30 ms, so a single wall-clock sample is
     // noise-dominated on a loaded machine; gate on the best of three extra
     // serial monolithic-free reruns (stderr-only, no result rows).

@@ -6,12 +6,17 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <initializer_list>
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -26,6 +31,7 @@
 #include "net/capacity.h"
 #include "net/graph.h"
 #include "net/rng.h"
+#include "obs/json.h"
 #include "routing/ecmp.h"
 #include "routing/ksp.h"
 #include "sim/fluid.h"
@@ -33,10 +39,17 @@
 
 namespace flattree::bench {
 
+// Upper bound on --threads: far above any core count this runs on, far
+// below a thread count that would exhaust the machine.
+inline constexpr std::uint64_t kMaxThreads = 256;
+
 // Minimal shared CLI for bench binaries: --seed N, --threads N (0 = one
-// per core), --json-out PATH|none, --metrics-out PATH, --trace-out PATH.
-// `default_seed` preserves each bench's historical constant so a bare run
-// reproduces the numbers recorded in EXPERIMENTS.md byte-for-byte.
+// per core, at most kMaxThreads), --json-out PATH|none, --metrics-out
+// PATH, --trace-out PATH. --seed and --threads take a plain decimal; any
+// other text ("12x", "-1", "0x10", "") is a usage error (exit 2), never a
+// silent truncation or wrap-around. `default_seed` preserves each bench's
+// historical constant so a bare run reproduces the numbers recorded in
+// EXPERIMENTS.md byte-for-byte.
 inline exec::RunnerOptions parse_runner_options(const char* bench_name,
                                                 int argc, char** argv,
                                                 std::uint64_t default_seed) {
@@ -49,16 +62,16 @@ inline exec::RunnerOptions parse_runner_options(const char* bench_name,
                  "          [--metrics-out PATH] [--trace-out PATH]\n"
                  "  --seed N         workload/topology sampling seed "
                  "(default %llu)\n"
-                 "  --threads N      worker threads; 0 = one per core "
-                 "(default 0)\n"
+                 "  --threads N      worker threads; 0 = one per core, at "
+                 "most %llu (default 0)\n"
                  "  --json-out P     BENCH_%s.json destination: a file, a "
                  "directory ending in '/', or 'none' (default: ./)\n"
                  "  --metrics-out P  deterministic metrics JSON (also folded "
                  "into the BENCH json); off by default\n"
                  "  --trace-out P    Chrome trace_event JSON for "
                  "chrome://tracing / ui.perfetto.dev; off by default\n",
-                 bench_name,
-                 static_cast<unsigned long long>(default_seed), bench_name);
+                 bench_name, static_cast<unsigned long long>(default_seed),
+                 static_cast<unsigned long long>(kMaxThreads), bench_name);
     std::exit(exit_code);
   };
   for (int i = 1; i < argc; ++i) {
@@ -70,11 +83,25 @@ inline exec::RunnerOptions parse_runner_options(const char* bench_name,
       }
       return argv[++i];
     };
+    const auto decimal = [&](std::uint64_t max) {
+      const char* flag = argv[i];
+      const char* text = value();
+      const char* end = text + std::strlen(text);
+      std::uint64_t n = 0;
+      const auto [ptr, ec] = std::from_chars(text, end, n);
+      if (ec != std::errc{} || ptr != end || n > max) {
+        std::fprintf(stderr,
+                     "%s: %s takes a decimal integer <= %llu, got '%s'\n",
+                     bench_name, flag, static_cast<unsigned long long>(max),
+                     text);
+        usage(2);
+      }
+      return n;
+    };
     if (std::strcmp(argv[i], "--seed") == 0) {
-      options.seed = std::strtoull(value(), nullptr, 0);
+      options.seed = decimal(std::numeric_limits<std::uint64_t>::max());
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      options.threads = static_cast<std::uint32_t>(
-          std::strtoul(value(), nullptr, 0));
+      options.threads = static_cast<std::uint32_t>(decimal(kMaxThreads));
     } else if (std::strcmp(argv[i], "--json-out") == 0) {
       options.json_out = value();
     } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
@@ -90,6 +117,46 @@ inline exec::RunnerOptions parse_runner_options(const char* bench_name,
     }
   }
   return options;
+}
+
+// Reads the number fields `keys` of a perf-baseline JSON object through
+// the shared reader, in order. A gate against a baseline it cannot read
+// would pass vacuously, so an unreadable file, a syntax error, or a
+// missing or non-number field prints a positioned diagnostic and exits 2.
+inline std::vector<double> read_baseline(
+    const char* bench_name, const std::string& path,
+    std::initializer_list<const char*> keys) {
+  const auto fail = [&](const std::string& what) {
+    std::fprintf(stderr, "%s: bad baseline: %s\n", bench_name, what.c_str());
+    std::exit(2);
+  };
+  const auto at = [&](const obs::json::Node& node) {
+    return path + ":" + std::to_string(node.line) + ":" +
+           std::to_string(node.column) + ": ";
+  };
+  std::ifstream in{path, std::ios::binary};
+  if (!in) fail(path + ": cannot read file");
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  obs::json::Node root;
+  try {
+    root = obs::json::parse(buffer.str(), path);
+  } catch (const obs::json::Error& e) {
+    fail(e.what());
+  }
+  std::vector<double> values;
+  for (const char* key : keys) {
+    const obs::json::Node* node = root.find(key);
+    if (node == nullptr) {
+      fail(at(root) + "missing required key \"" + key + "\"");
+    } else if (node->kind != obs::json::Node::Kind::kNumber) {
+      fail(at(*node) + "key \"" + key + "\": expected number, got " +
+           node->kind_name());
+    } else {
+      values.push_back(node->number);
+    }
+  }
+  return values;
 }
 
 inline PathProvider ksp_provider(const Graph& g, std::uint32_t k,
