@@ -201,8 +201,10 @@ void run(int argc, char** argv) {
                   make_pairs(from.graph());
 
               ControlHierarchyOptions hopts;
-              hopts.channel.drop_probability = sc.loss;
-              hopts.sink = runner.obs();
+              hopts.exec.channel.drop_probability = sc.loss;
+              hopts.exec.stage_checkpoints = true;
+              hopts.exec.seed = runner.seed();
+              hopts.exec.sink = runner.obs();
               const ControlHierarchy hier{controller, kind, hopts};
 
               HierarchyFaults faults;
@@ -218,15 +220,10 @@ void run(int argc, char** argv) {
               }
               faults.root_crash_at_s = sc.root_crash_at_s;
 
-              ConversionExecOptions exec_base;
-              exec_base.stage_checkpoints = true;
-              exec_base.seed = runner.seed();
-              exec_base.sink = runner.obs();
-
               Outcome out;
               out.res = hier.run(from, pairs,
                                  sc.storm ? storm : FailureSchedule{}, faults,
-                                 duration, &to, sc.convert_at_s, exec_base);
+                                 duration, &to, sc.convert_at_s);
               return out;
             });
       });
