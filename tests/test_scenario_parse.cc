@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "scenario/runner.h"
 
@@ -343,6 +345,242 @@ TEST(ScenarioParse, RepairRefreshRequiresFlatKind) {
       " \"sim\": {\"engine\": \"fluid\", \"refresh\": \"repair\"}}",
       "bad.json:4:40: key \"refresh\": \"repair\" requires topology kind "
       "\"fat_tree\" or \"flat_tree\"");
+}
+
+// ---- grammar sweep ----------------------------------------------------------
+// Every variant-scoped key must be rejected with its variant's diagnostic
+// when it appears under another variant. The key sets come from the
+// canonical forms of one fully populated spec per variant, so a key added
+// to one variant is swept against every other variant without editing
+// this test.
+
+// "line:col" of byte `offset` of `text`.
+std::string position_of(std::string_view text, std::size_t offset) {
+  const std::size_t line_start = text.rfind('\n', offset - 1);
+  const std::size_t line =
+      1 + static_cast<std::size_t>(
+              std::count(text.begin(), text.begin() + offset, '\n'));
+  const std::size_t column =
+      line_start == std::string_view::npos ? offset + 1
+                                           : offset - line_start;
+  return std::to_string(line) + ":" + std::to_string(column);
+}
+
+// The member keys, in order, of one section of `text`'s canonical form.
+// `pick` selects the section object from the canonical root.
+template <typename Pick>
+std::vector<std::string> canonical_keys(const std::string& text, Pick pick) {
+  const std::string canonical =
+      canonical_json(parse_scenario(text, "variant.json"));
+  const JsonNode root = obs::json::parse(canonical, "canonical.json");
+  std::vector<std::string> keys;
+  for (const auto& member : pick(root).members) keys.push_back(member.first);
+  return keys;
+}
+
+struct Variant {
+  std::string name;  // the pattern / failure kind / engine
+  std::string text;  // a full scenario; `open` marks where keys go
+  std::string open;  // the variant's object, without its closing brace
+};
+
+// For each variant, injects every key another variant's canonical section
+// holds and this one's does not, and expects `what` + the variant's name,
+// anchored at the injected value.
+template <typename Pick>
+void sweep_foreign_keys(const std::vector<Variant>& variants, Pick pick,
+                        std::string_view what) {
+  std::vector<std::vector<std::string>> keys;
+  for (const Variant& v : variants) keys.push_back(canonical_keys(v.text, pick));
+  std::size_t injected = 0;
+  for (std::size_t own = 0; own < variants.size(); ++own) {
+    const Variant& v = variants[own];
+    std::vector<std::string> seen;
+    for (std::size_t other = 0; other < variants.size(); ++other) {
+      for (const std::string& key : keys[other]) {
+        if (std::find(keys[own].begin(), keys[own].end(), key) !=
+                keys[own].end() ||
+            std::find(seen.begin(), seen.end(), key) != seen.end()) {
+          continue;
+        }
+        seen.push_back(key);
+        std::string text = v.text;
+        const std::size_t at = text.find(v.open);
+        ASSERT_NE(at, std::string::npos) << v.open;
+        const std::string member = ",\n  \"" + key + "\": ";
+        text.insert(at + v.open.size(), member + "1");
+        const std::size_t value = at + v.open.size() + member.size();
+        expect_parse_error(text, "bad.json:" + position_of(text, value) +
+                                     ": key \"" + key + "\" is not valid for " +
+                                     std::string{what} + " \"" + v.name +
+                                     "\"");
+        ++injected;
+      }
+    }
+  }
+  EXPECT_GT(injected, 0u);
+}
+
+constexpr std::string_view kHead =
+    "{\"name\": \"x\",\n"
+    " \"topology\": {\"kind\": \"flat_tree\"},\n";
+
+TEST(ScenarioGrammarSweep, ForeignTrafficKeysNameThePattern) {
+  const std::vector<std::string> opens = {
+      "{\"pattern\": \"permutation\"",
+      "{\"pattern\": \"incast\"",
+      "{\"pattern\": \"class\"",
+      "{\"pattern\": \"three_tier\"",
+      "{\"pattern\": \"trace\", \"profile\": \"web\"",
+      "{\"pattern\": \"tenant_churn\""};
+  const std::vector<std::string> names = {"permutation", "incast",
+                                          "class",       "three_tier",
+                                          "trace",       "tenant_churn"};
+  std::vector<Variant> variants;
+  for (std::size_t i = 0; i < opens.size(); ++i) {
+    variants.push_back(
+        {names[i],
+         std::string{kHead} + " \"traffic\": [" + opens[i] + "}]}", opens[i]});
+  }
+  sweep_foreign_keys(
+      variants,
+      [](const JsonNode& root) -> const JsonNode& {
+        return root.find("traffic")->items[0];
+      },
+      "pattern");
+}
+
+TEST(ScenarioGrammarSweep, ForeignFailureKeysNameTheKind) {
+  // Windowed kinds flap so recover_at / flaps / period_s all appear in
+  // their canonical forms; the control kinds ride on a conversion.
+  const std::string window =
+      ", \"fail_at\": 0.5, \"recover_at\": 1.0, \"flaps\": 2, "
+      "\"period_s\": 2.0";
+  const std::string conversion = ",\n \"conversion\": {\"to\": [\"global\"]}";
+  struct Kind {
+    std::string name;
+    std::string open;
+    bool control;
+  };
+  const std::vector<Kind> kinds = {
+      {"core_column",
+       "{\"kind\": \"core_column\"" + window + ", \"first\": 0, \"count\": 1",
+       false},
+      {"links",
+       "{\"kind\": \"links\"" + window + ", \"fraction\": 0.1, \"seed\": 3",
+       false},
+      {"switches",
+       "{\"kind\": \"switches\"" + window +
+           ", \"fraction\": 0.1, \"role\": \"agg\", \"seed\": 3",
+       false},
+      {"controller_crash", "{\"kind\": \"controller_crash\", \"fail_at\": 0.5",
+       true},
+      {"control_partition",
+       "{\"kind\": \"control_partition\"" + window +
+           ", \"first\": 0, \"count\": 1",
+       true}};
+  std::vector<Variant> variants;
+  for (const Kind& k : kinds) {
+    variants.push_back(
+        {k.name,
+         std::string{kHead} +
+             " \"traffic\": [{\"pattern\": \"permutation\"}],\n"
+             " \"failures\": [" + k.open + "}]" +
+             (k.control ? conversion : std::string{}) + "}",
+         k.open});
+  }
+  sweep_foreign_keys(
+      variants,
+      [](const JsonNode& root) -> const JsonNode& {
+        return root.find("failures")->items[0];
+      },
+      "failure kind");
+}
+
+TEST(ScenarioGrammarSweep, ForeignSimKeysNameTheEngine) {
+  const std::vector<std::string> opens = {
+      "{\"engine\": \"fluid\", \"repair_lag_s\": 0.5",
+      "{\"engine\": \"packet\"", "{\"engine\": \"packet_sharded\"",
+      "{\"engine\": \"autopilot\""};
+  const std::vector<std::string> names = {"fluid", "packet", "packet_sharded",
+                                          "autopilot"};
+  std::vector<Variant> variants;
+  for (std::size_t i = 0; i < opens.size(); ++i) {
+    variants.push_back(
+        {names[i],
+         std::string{kHead} +
+             " \"traffic\": [{\"pattern\": \"permutation\"}],\n"
+             " \"sim\": " + opens[i] + "}}",
+         opens[i]});
+  }
+  sweep_foreign_keys(
+      variants,
+      [](const JsonNode& root) -> const JsonNode& { return *root.find("sim"); },
+      "engine");
+}
+
+// Every enum-valued key: an unknown name yields the full "(expected ...)"
+// list, anchored at the offending string.
+TEST(ScenarioGrammarSweep, UnknownEnumNamesListEveryName) {
+  const std::string traffic =
+      " \"traffic\": [{\"pattern\": \"permutation\"}],\n";
+  struct Case {
+    std::string text;
+    std::string what;  // the diagnostic after "bad.json:<line>:<col>: "
+  };
+  const std::vector<Case> cases = {
+      {"{\"name\": \"x\",\n \"expect\": \"bogus\"}",
+       "key \"expect\": unknown verdict \"bogus\" (expected \"pass\" or "
+       "\"fail\")"},
+      {"{\"name\": \"x\",\n \"topology\": {\"kind\": \"bogus\"}}",
+       "key \"kind\": unknown topology kind \"bogus\" (expected "
+       "\"fat_tree\", \"flat_tree\", \"random_graph\" or \"two_stage\")"},
+      {"{\"name\": \"x\",\n"
+       " \"topology\": {\"kind\": \"flat_tree\", \"pod_modes\": "
+           "[\"bogus\"]}}",
+       "unknown Pod mode \"bogus\" (expected \"clos\", \"local\" or "
+       "\"global\")"},
+      {std::string{kHead} + " \"traffic\": [{\"pattern\": \"bogus\"}]}",
+       "key \"pattern\": unknown traffic pattern \"bogus\" (expected "
+       "\"permutation\", \"incast\", \"class\", \"three_tier\", \"trace\" "
+       "or \"tenant_churn\")"},
+      {std::string{kHead} +
+           " \"traffic\": [{\"pattern\": \"trace\", \"profile\": "
+           "\"bogus\"}]}",
+       "key \"profile\": unknown trace profile \"bogus\" (expected "
+       "\"hadoop1\", \"hadoop2\", \"web\" or \"cache\")"},
+      {std::string{kHead} + traffic +
+           " \"failures\": [{\"kind\": \"bogus\", \"fail_at\": 0.5}]}",
+       "key \"kind\": unknown failure kind \"bogus\" (expected "
+       "\"core_column\", \"links\", \"switches\", \"controller_crash\" or "
+       "\"control_partition\")"},
+      {std::string{kHead} + traffic +
+           " \"failures\": [{\"kind\": \"switches\", \"fail_at\": 0.5, "
+           "\"fraction\": 0.1, \"role\": \"bogus\"}]}",
+       "key \"role\": unknown switch role \"bogus\" (expected \"edge\", "
+       "\"agg\" or \"core\")"},
+      {std::string{kHead} + traffic +
+           " \"conversion\": {\"to\": [\"global\", \"bogus\"]}}",
+       "unknown Pod mode \"bogus\" (expected \"clos\", \"local\" or "
+       "\"global\")"},
+      {std::string{kHead} + traffic +
+           " \"slos\": [{\"metric\": \"bogus\", \"max\": 1.0}]}",
+       "key \"metric\": unknown SLO metric \"bogus\" (expected "
+       "\"worst_fct_s\", \"p99_fct_s\", \"p50_fct_s\", \"mean_fct_s\" or "
+       "\"completed_frac\")"},
+      {std::string{kHead} + traffic + " \"sim\": {\"engine\": \"bogus\"}}",
+       "key \"engine\": unknown engine \"bogus\" (expected \"fluid\", "
+       "\"packet\", \"packet_sharded\" or \"autopilot\")"},
+      {std::string{kHead} + traffic +
+           " \"sim\": {\"engine\": \"fluid\", \"refresh\": \"bogus\"}}",
+       "key \"refresh\": unknown refresh mode \"bogus\" (expected "
+       "\"repair\", \"reroute\" or \"none\")"},
+  };
+  for (const Case& c : cases) {
+    expect_parse_error(c.text, "bad.json:" +
+                                   position_of(c.text, c.text.find("\"bogus\"")) +
+                                   ": " + c.what);
+  }
 }
 
 // ---- compile-stage rejections -----------------------------------------------
