@@ -19,7 +19,8 @@ SANITIZE_PRESET="${1:-tsan}"
 JOBS="$(nproc)"
 
 echo "== tier-1: configure + build + ctest (preset: default) =="
-cmake --preset default
+# The tree builds warning-free; any new warning fails the gate.
+cmake --preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build --preset default -j "${JOBS}"
 ctest --test-dir build --output-on-failure -j "${JOBS}"
 

@@ -177,9 +177,9 @@ struct Exec {
   ServingState serve;  // graphs, storm failures, installed/canonical routes
   double now{0.0};
   std::uint32_t epoch{0};
-  std::vector<ConverterConfig> configs;
-  std::vector<bool> dead;      // per node id, control-plane dead
-  std::vector<NodeId> dead_list;  // the same, sorted
+  std::vector<ConverterConfig> configs{};
+  std::vector<bool> dead{};      // per node id, control-plane dead
+  std::vector<NodeId> dead_list{};  // the same, sorted
 
   // Storm state. Link ids of `storm` live in serve.reference's space (the
   // origin realization) and resolve to node pairs across realizations.
@@ -201,8 +201,8 @@ struct Exec {
   // Controller::plan_repair when the storm breaks them. stage_live is a
   // storm-degraded repaired copy, rebuilt whenever the active set changes.
   const CompiledMode* stage_target{nullptr};
-  std::optional<CompiledMode> stage_live;
-  FailureSet stage_live_fails;
+  std::optional<CompiledMode> stage_live{};
+  FailureSet stage_live_fails{};
 
   obs::Counter* c_steps{nullptr};
   obs::Counter* c_step_failures{nullptr};

@@ -19,7 +19,7 @@ struct Flow {
   double start_s{0.0};
   // Flow indices that must complete before this flow starts (application
   // phase structure, e.g. torrent broadcast rounds).
-  std::vector<std::uint32_t> depends_on;
+  std::vector<std::uint32_t> depends_on{};
   // Extra latency between dependency completion and start (serialization /
   // deserialization overhead in the computation framework, §5.4).
   double dep_delay_s{0.0};

@@ -505,8 +505,9 @@ TEST(ConversionStorm, ApiValidation) {
   // switches must be switches.
   const ConversionExecutor exec{ctl, ConversionExecOptions{}};
   FailureSchedule out_of_range;
-  out_of_range.fail_at(0.1,
-                       FailureSet{{LinkId{from.graph().link_count()}}, {}});
+  const LinkId past_end{
+      static_cast<std::uint32_t>(from.graph().link_count())};
+  out_of_range.fail_at(0.1, FailureSet{{past_end}, {}});
   EXPECT_THROW(
       (void)exec.execute_under_storm(from, to, pairs, out_of_range),
       std::invalid_argument);
