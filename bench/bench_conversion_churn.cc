@@ -34,32 +34,11 @@
 namespace flattree {
 namespace {
 
-struct RunStats {
-  double worst_fct{0.0};
-  double p99_fct{0.0};
-  std::size_t completed{0};
-  std::size_t total{0};
-};
-
-RunStats summarize(const std::vector<FluidFlowResult>& results) {
-  RunStats stats;
-  std::vector<double> fcts;
-  for (const FluidFlowResult& r : results) {
-    ++stats.total;
-    if (!r.completed) continue;
-    ++stats.completed;
-    fcts.push_back(r.fct_s());
-  }
-  for (double f : fcts) stats.worst_fct = std::max(stats.worst_fct, f);
-  stats.p99_fct = bench::percentile(fcts, 99.0);
-  return stats;
-}
-
 // Everything one (staged, loss) cell produces.
 struct CellOutcome {
   ExecutionReport report;
-  RunStats base;
-  RunStats churn;
+  bench::RunStats base;
+  bench::RunStats churn;
   ScheduleRunStats sched;
   std::uint64_t packet_bytes_acked{0};
   std::size_t packet_completed{0};
@@ -149,8 +128,8 @@ void run(int argc, char** argv) {
                     return from.paths().server_paths(src, dst);
                   },
                   fluid_opts};
-              out.base = summarize(baseline.run(flows));
-              out.churn = summarize(run_fluid_with_conversion(
+              out.base = bench::summarize(baseline.run(flows));
+              out.churn = bench::summarize(run_fluid_with_conversion(
                   out.report, flows, fluid_opts, &out.sched));
 
               // Packet-level spot check: a few small flows ride the same

@@ -37,27 +37,6 @@
 namespace flattree {
 namespace {
 
-struct RunStats {
-  double worst_fct{0.0};
-  double p99_fct{0.0};
-  std::size_t completed{0};
-  std::size_t total{0};
-};
-
-RunStats summarize(const std::vector<FluidFlowResult>& results) {
-  RunStats stats;
-  std::vector<double> fcts;
-  for (const FluidFlowResult& r : results) {
-    ++stats.total;
-    if (!r.completed) continue;
-    ++stats.completed;
-    fcts.push_back(r.fct_s());
-  }
-  for (double f : fcts) stats.worst_fct = std::max(stats.worst_fct, f);
-  stats.p99_fct = bench::percentile(fcts, 99.0);
-  return stats;
-}
-
 PathProvider mode_provider(CompiledMode& mode) {
   return [&mode](NodeId src, NodeId dst, std::uint32_t) {
     return mode.paths().server_paths(src, dst);
@@ -67,8 +46,8 @@ PathProvider mode_provider(CompiledMode& mode) {
 // Everything one mode's pipeline produces: baseline sim, repair plan,
 // scheduled (failure-injected) sim. One exec cell per mode.
 struct ModeOutcome {
-  RunStats base;
-  RunStats failed;
+  bench::RunStats base;
+  bench::RunStats failed;
   double repair_lag_s{0.0};
   std::size_t pairs_invalidated{0};
   std::size_t pairs_retained{0};
@@ -140,7 +119,7 @@ void run(int argc, char** argv) {
               FluidSimulator baseline{live.graph(), mode_provider(live),
                                       fluid_opts};
               ModeOutcome out;
-              out.base = summarize(baseline.run(flows));
+              out.base = bench::summarize(baseline.run(flows));
 
               // The controller's incremental repair: rescue stranded
               // servers by converter rewire (global mode only — the other
@@ -167,7 +146,7 @@ void run(int argc, char** argv) {
                   [&](const Graph&) -> PathProvider {
                 return mode_provider(live);
               };
-              out.failed = summarize(sim.run_with_schedule(
+              out.failed = bench::summarize(sim.run_with_schedule(
                   flows, schedule, plan.total_s(), refresh, &out.sched));
               out.repair_lag_s = plan.total_s();
               out.pairs_invalidated = plan.pairs_invalidated;

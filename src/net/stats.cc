@@ -1,5 +1,6 @@
 #include "net/stats.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace flattree {
@@ -89,6 +90,16 @@ double core_link_capacity(const Graph& graph) {
     }
   }
   return total;
+}
+
+double percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return values[lo] * (1 - frac) + values[hi] * frac;
 }
 
 }  // namespace flattree

@@ -1,6 +1,7 @@
 // Graph-level statistics used throughout the evaluation: average path
 // lengths (the (m, n) profiling metric of §3.4 and the wiring-pattern
-// ablation of §3.2), diameter, and structural audits.
+// ablation of §3.2), diameter, and structural audits — plus the one
+// percentile every FCT summary uses.
 #pragma once
 
 #include <cstdint>
@@ -39,5 +40,11 @@ struct PathLengthStats {
 // Total bisection-ish capacity proxy: the sum of capacities of all links with
 // at least one core-switch endpoint (the paper's "network core bandwidth").
 [[nodiscard]] double core_link_capacity(const Graph& graph);
+
+// The p-th percentile (p in [0, 100]) of `values`, linearly interpolated
+// between the two nearest ranks; 0 when empty. The benches' FCT tables and
+// the scenario runner's summaries share this definition, which is what
+// lets tests/test_scenario_diff.cc pin them bit for bit.
+[[nodiscard]] double percentile(std::vector<double> values, double p);
 
 }  // namespace flattree
