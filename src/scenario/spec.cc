@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <initializer_list>
+#include <functional>
 #include <span>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "exec/results.h"
@@ -29,15 +31,72 @@ std::string quoted(std::string_view s) {
 }
 
 // "\"a\", \"b\" or \"c\"" for enum diagnostics.
-std::string expected_list(std::initializer_list<std::string_view> names) {
+std::string expected_list(std::span<const std::string_view> names) {
   std::string out;
-  std::size_t i = 0;
-  for (const std::string_view name : names) {
+  for (std::size_t i = 0; i < names.size(); ++i) {
     if (i > 0) out += (i + 1 == names.size()) ? " or " : ", ";
-    out += quoted(name);
-    ++i;
+    out += quoted(names[i]);
   }
   return out;
+}
+
+// ---- names ------------------------------------------------------------------
+// One table per enum (index = enumerator value) drives its parser, its
+// to_string and its "(expected ...)" list; the string-valued keys with a
+// closed vocabulary (verdict, trace profile, switch role) use the same form.
+
+struct Names {
+  std::string_view noun;  // "unknown <noun> ..." in diagnostics
+  std::span<const std::string_view> names;
+};
+
+constexpr std::string_view kTopologyKinds[] = {"fat_tree", "flat_tree",
+                                               "random_graph", "two_stage"};
+constexpr std::string_view kTrafficPatterns[] = {
+    "permutation", "incast", "class", "three_tier", "trace", "tenant_churn"};
+constexpr std::string_view kFailureKinds[] = {
+    "core_column", "links", "switches", "controller_crash",
+    "control_partition"};
+constexpr std::string_view kSloMetrics[] = {
+    "worst_fct_s", "p99_fct_s", "p50_fct_s", "mean_fct_s", "completed_frac"};
+constexpr std::string_view kEngines[] = {"fluid", "packet", "packet_sharded",
+                                         "autopilot"};
+constexpr std::string_view kRefreshModes[] = {"repair", "reroute", "none"};
+constexpr std::string_view kVerdicts[] = {"pass", "fail"};  // pass = true
+constexpr std::string_view kProfiles[] = {"hadoop1", "hadoop2", "web",
+                                          "cache"};
+constexpr std::string_view kRoles[] = {"edge", "agg", "core"};
+
+constexpr Names names_of(TopologyKind) {
+  return {"topology kind", kTopologyKinds};
+}
+constexpr Names names_of(TrafficPattern) {
+  return {"traffic pattern", kTrafficPatterns};
+}
+constexpr Names names_of(FailureKind) {
+  return {"failure kind", kFailureKinds};
+}
+constexpr Names names_of(SloMetric) { return {"SLO metric", kSloMetrics}; }
+constexpr Names names_of(Engine) { return {"engine", kEngines}; }
+constexpr Names names_of(RefreshMode) {
+  return {"refresh mode", kRefreshModes};
+}
+Names names_of(PodMode) {
+  static const std::string_view kModes[] = {to_string(PodMode::kClos),
+                                            to_string(PodMode::kLocal),
+                                            to_string(PodMode::kGlobal)};
+  return {"Pod mode", kModes};
+}
+
+template <typename E>
+const char* name_of(E value) {
+  return names_of(value).names[static_cast<std::size_t>(value)].data();
+}
+
+// The bit of one enumerator in a key's variant mask.
+template <typename E>
+constexpr std::uint32_t bit(E value) {
+  return 1u << static_cast<unsigned>(value);
 }
 
 // ---- typed accessors --------------------------------------------------------
@@ -65,11 +124,6 @@ std::string get_string(const Ctx& ctx, const JsonNode& node,
   return node.string;
 }
 
-bool get_bool(const Ctx& ctx, const JsonNode& node, std::string_view key) {
-  expect_kind(ctx, node, JsonNode::Kind::kBool, key, "bool");
-  return node.bool_value;
-}
-
 double get_number(const Ctx& ctx, const JsonNode& node, std::string_view key) {
   expect_kind(ctx, node, JsonNode::Kind::kNumber, key, "number");
   return node.number;
@@ -87,58 +141,41 @@ std::uint64_t get_u64(const Ctx& ctx, const JsonNode& node,
   return static_cast<std::uint64_t>(v);
 }
 
-std::uint32_t get_u32(const Ctx& ctx, const JsonNode& node,
-                      std::string_view key, std::uint32_t lo,
-                      std::uint32_t hi) {
-  const std::uint64_t v = get_u64(ctx, node, key);
-  if (v < lo || v > hi) {
-    ctx.fail(node, "key " + quoted(key) + ": value " + std::to_string(v) +
-                       " out of range [" + std::to_string(lo) + ", " +
-                       std::to_string(hi) + "]");
+// An integer in [lo, hi]; unsigned values must also pass get_u64.
+template <typename Int>
+Int get_int(const Ctx& ctx, const JsonNode& node, std::string_view key,
+            std::int64_t lo, std::int64_t hi) {
+  double v = 0;
+  if constexpr (std::is_unsigned_v<Int>) {
+    v = static_cast<double>(get_u64(ctx, node, key));
+  } else {
+    v = get_number(ctx, node, key);
+    if (v != std::floor(v) || !std::isfinite(v)) {
+      ctx.fail(node, "key " + quoted(key) + ": expected an integer");
+    }
   }
-  return static_cast<std::uint32_t>(v);
-}
-
-std::int32_t get_i32(const Ctx& ctx, const JsonNode& node,
-                     std::string_view key, std::int32_t lo, std::int32_t hi) {
-  const double v = get_number(ctx, node, key);
-  if (v != std::floor(v) || !std::isfinite(v)) {
-    ctx.fail(node, "key " + quoted(key) + ": expected an integer");
-  }
-  if (v < lo || v > hi) {
+  if (v < static_cast<double>(lo) || v > static_cast<double>(hi)) {
     ctx.fail(node, "key " + quoted(key) + ": value " +
                        std::to_string(static_cast<std::int64_t>(v)) +
                        " out of range [" + std::to_string(lo) + ", " +
                        std::to_string(hi) + "]");
   }
-  return static_cast<std::int32_t>(v);
+  return static_cast<Int>(v);
 }
 
-double get_positive(const Ctx& ctx, const JsonNode& node,
-                    std::string_view key) {
-  const double v = get_number(ctx, node, key);
-  if (!(v > 0) || !std::isfinite(v)) {
-    ctx.fail(node, "key " + quoted(key) + ": must be > 0");
+// Index of the node's string among `n.names`. `keyed` prefixes the
+// diagnostic with the key (a Pod mode list item has no key of its own).
+std::size_t get_name(const Ctx& ctx, const JsonNode& node,
+                     std::string_view key, const Names& n,
+                     bool keyed = true) {
+  const std::string s = get_string(ctx, node, key);
+  const auto it = std::find(n.names.begin(), n.names.end(), s);
+  if (it != n.names.end()) {
+    return static_cast<std::size_t>(it - n.names.begin());
   }
-  return v;
-}
-
-double get_non_negative(const Ctx& ctx, const JsonNode& node,
-                        std::string_view key) {
-  const double v = get_number(ctx, node, key);
-  if (!(v >= 0) || !std::isfinite(v)) {
-    ctx.fail(node, "key " + quoted(key) + ": must be >= 0");
-  }
-  return v;
-}
-
-double get_fraction(const Ctx& ctx, const JsonNode& node,
-                    std::string_view key) {
-  const double v = get_number(ctx, node, key);
-  if (!(v >= 0) || !(v <= 1)) {
-    ctx.fail(node, "key " + quoted(key) + ": must lie in [0, 1]");
-  }
-  return v;
+  ctx.fail(node, (keyed ? "key " + quoted(key) + ": " : std::string{}) +
+                     "unknown " + std::string{n.noun} + " " + quoted(s) +
+                     " (expected " + expected_list(n.names) + ")");
 }
 
 bool is_identifier(std::string_view s) {
@@ -148,349 +185,408 @@ bool is_identifier(std::string_view s) {
   });
 }
 
-void check_keys(const Ctx& ctx, const JsonNode& obj,
-                std::initializer_list<std::string_view> allowed,
-                const char* section) {
-  for (const auto& [key, value] : obj.members) {
-    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-      ctx.fail(value, "unknown key " + quoted(key) + " in " + section);
-    }
-  }
+// ---- key tables -------------------------------------------------------------
+// Each section is one ordered table of keys. A row names the key, its spec
+// member and its value rule, and the variants (bits of the section's
+// discriminator, the first row) that take it. The reader walks the table
+// for the key check and the values; the writer walks it in the same order
+// for the canonical form, so table order is canonical order. Adding a key
+// is adding a row.
+
+// The value rule beyond the member's C++ type. Integer members take the
+// row's [lo, hi] range instead; u64 members are any integer up to 2^53.
+enum class Rule : std::uint8_t {
+  kAny,
+  kPositive,     // > 0, finite
+  kNonNegative,  // >= 0, finite
+  kFraction,     // in [0, 1]
+  kIdentifier,   // string matching [a-z0-9_]+
+};
+
+// A spec member of any key type; monostate marks a key whose value is a
+// section of its own (read and written by hand).
+template <typename S>
+using Member =
+    std::variant<std::monostate, bool S::*, std::uint32_t S::*,
+                 std::int32_t S::*, std::uint64_t S::*, double S::*,
+                 std::string S::*, std::vector<PodMode> S::*,
+                 TopologyKind S::*, TrafficPattern S::*, FailureKind S::*,
+                 SloMetric S::*, Engine S::*, RefreshMode S::*>;
+
+template <typename S>
+struct Key {
+  std::string_view name{};
+  Member<S> member{};
+  Rule rule{Rule::kAny};
+  std::int64_t lo{0};  // integer range
+  std::int64_t hi{0};
+  Names names{};  // closed vocabulary of a string or bool member (a bool
+                  // is true for its first name)
+  std::uint32_t variants{~0u};
+  bool required{false};
+  // The canonical form leaves the key out when this returns false.
+  bool (*written)(const S&){nullptr};
+};
+
+constexpr std::int64_t kBig = 1 << 20;
+
+constexpr Key<Scenario> kScenarioKeys[] = {
+    {.name = "name", .member = &Scenario::name, .rule = Rule::kIdentifier,
+     .required = true},
+    {.name = "seed", .member = &Scenario::seed},
+    {.name = "expect", .member = &Scenario::expect_pass,
+     .names = {"verdict", kVerdicts}},
+    {.name = "topology"},
+    {.name = "traffic"},
+    {.name = "failures"},
+    {.name = "conversion"},
+    {.name = "slos"},
+    {.name = "sim"},
+};
+
+constexpr std::uint32_t kFlatKinds =
+    bit(TopologyKind::kFatTree) | bit(TopologyKind::kFlatTree);
+constexpr Key<TopologySpec> kTopologyKeys[] = {
+    {.name = "kind", .member = &TopologySpec::kind, .required = true},
+    {.name = "k", .member = &TopologySpec::k, .lo = 4, .hi = 32},
+    {.name = "servers_per_edge", .member = &TopologySpec::servers_per_edge,
+     .lo = 1, .hi = 256},
+    {.name = "m", .member = &TopologySpec::m, .lo = 0, .hi = 256,
+     .variants = kFlatKinds,
+     .written = [](const TopologySpec& t) { return t.m != t.kAuto; }},
+    {.name = "n", .member = &TopologySpec::n, .lo = 0, .hi = 256,
+     .variants = kFlatKinds,
+     .written = [](const TopologySpec& t) { return t.n != t.kAuto; }},
+    {.name = "pod_modes", .member = &TopologySpec::pod_modes,
+     .variants = bit(TopologyKind::kFlatTree)},
+    {.name = "wiring_seed", .member = &TopologySpec::wiring_seed,
+     .variants =
+         bit(TopologyKind::kRandomGraph) | bit(TopologyKind::kTwoStage)},
+};
+
+constexpr std::uint32_t kIncast = bit(TrafficPattern::kIncast);
+constexpr std::uint32_t kClass = bit(TrafficPattern::kClass);
+constexpr std::uint32_t kThreeTier = bit(TrafficPattern::kThreeTier);
+constexpr std::uint32_t kTrace = bit(TrafficPattern::kTrace);
+constexpr std::uint32_t kChurn = bit(TrafficPattern::kTenantChurn);
+constexpr Key<TrafficSpec> kTrafficKeys[] = {
+    {.name = "pattern", .member = &TrafficSpec::pattern, .required = true},
+    {.name = "class", .member = &TrafficSpec::tenant_class,
+     .rule = Rule::kIdentifier},
+    {.name = "seed", .member = &TrafficSpec::seed},
+    {.name = "start_s", .member = &TrafficSpec::start_s,
+     .rule = Rule::kNonNegative},
+    {.name = "bytes", .member = &TrafficSpec::bytes, .rule = Rule::kPositive,
+     .variants = bit(TrafficPattern::kPermutation)},
+    {.name = "profile", .member = &TrafficSpec::profile,
+     .names = {"trace profile", kProfiles}, .variants = kTrace,
+     .required = true},
+    {.name = "groups", .member = &TrafficSpec::groups, .lo = 1, .hi = 4096,
+     .variants = kIncast},
+    {.name = "fanin", .member = &TrafficSpec::fanin, .lo = 1, .hi = 4096,
+     .variants = kIncast},
+    {.name = "requests", .member = &TrafficSpec::requests, .lo = 1,
+     .hi = 4096, .variants = kIncast},
+    {.name = "period_s", .member = &TrafficSpec::period_s,
+     .rule = Rule::kPositive, .variants = kIncast},
+    {.name = "pod_local", .member = &TrafficSpec::pod_local,
+     .variants = kIncast},
+    {.name = "duration_s", .member = &TrafficSpec::duration_s,
+     .rule = Rule::kPositive,
+     .variants = kClass | kThreeTier | kTrace | kChurn},
+    {.name = "requests_per_s", .member = &TrafficSpec::requests_per_s,
+     .rule = Rule::kPositive, .variants = kThreeTier},
+    {.name = "frontend_frac", .member = &TrafficSpec::frontend_frac,
+     .rule = Rule::kFraction, .variants = kThreeTier},
+    {.name = "cache_frac", .member = &TrafficSpec::cache_frac,
+     .rule = Rule::kFraction, .variants = kThreeTier},
+    {.name = "request_bytes", .member = &TrafficSpec::request_bytes,
+     .rule = Rule::kPositive, .variants = kThreeTier},
+    {.name = "cache_reply_bytes", .member = &TrafficSpec::cache_reply_bytes,
+     .rule = Rule::kPositive, .variants = kThreeTier},
+    {.name = "storage_reply_bytes",
+     .member = &TrafficSpec::storage_reply_bytes, .rule = Rule::kPositive,
+     .variants = kThreeTier},
+    {.name = "miss_frac", .member = &TrafficSpec::miss_frac,
+     .rule = Rule::kFraction, .variants = kThreeTier},
+    {.name = "think_s", .member = &TrafficSpec::think_s,
+     .rule = Rule::kNonNegative, .variants = kThreeTier},
+    {.name = "arrivals_per_s", .member = &TrafficSpec::arrivals_per_s,
+     .rule = Rule::kPositive, .variants = kChurn},
+    {.name = "mean_lifetime_s", .member = &TrafficSpec::mean_lifetime_s,
+     .rule = Rule::kPositive, .variants = kChurn},
+    {.name = "flows_per_s", .member = &TrafficSpec::flows_per_s,
+     .rule = Rule::kPositive, .variants = kClass | kTrace | kChurn},
+    {.name = "mean_bytes", .member = &TrafficSpec::mean_bytes,
+     .rule = Rule::kPositive, .variants = kIncast | kClass},
+    {.name = "alpha", .member = &TrafficSpec::alpha,
+     .variants = kIncast | kClass},
+    {.name = "max_bytes", .member = &TrafficSpec::max_bytes,
+     .rule = Rule::kPositive, .variants = kIncast | kClass},
+    {.name = "intra_rack_frac", .member = &TrafficSpec::intra_rack_frac,
+     .rule = Rule::kFraction, .variants = kClass},
+    {.name = "intra_pod_frac", .member = &TrafficSpec::intra_pod_frac,
+     .rule = Rule::kFraction, .variants = kClass},
+    {.name = "hot_pod", .member = &TrafficSpec::hot_pod, .lo = -1,
+     .hi = kBig, .variants = kClass},
+    {.name = "hot_pod_frac", .member = &TrafficSpec::hot_pod_frac,
+     .rule = Rule::kFraction, .variants = kClass},
+};
+
+// A controller crash has no recovery window or flapping: the standby
+// takes over, the dead primary never comes back.
+constexpr std::uint32_t kWindowed = ~bit(FailureKind::kControllerCrash);
+constexpr std::uint32_t kRanged =
+    bit(FailureKind::kCoreColumn) | bit(FailureKind::kControlPartition);
+constexpr std::uint32_t kSampled =
+    bit(FailureKind::kLinks) | bit(FailureKind::kSwitches);
+constexpr Key<FailureSpec> kFailureKeys[] = {
+    {.name = "kind", .member = &FailureSpec::kind, .required = true},
+    {.name = "fail_at", .member = &FailureSpec::fail_at,
+     .rule = Rule::kNonNegative, .required = true},
+    {.name = "recover_at", .member = &FailureSpec::recover_at,
+     .variants = kWindowed,
+     .written = [](const FailureSpec& f) { return f.recover_at >= 0; }},
+    {.name = "first", .member = &FailureSpec::first, .lo = 0, .hi = kBig,
+     .variants = kRanged},
+    {.name = "count", .member = &FailureSpec::count, .lo = 1, .hi = kBig,
+     .variants = kRanged, .required = true},
+    {.name = "fraction", .member = &FailureSpec::fraction,
+     .variants = kSampled, .required = true},
+    {.name = "role", .member = &FailureSpec::role,
+     .names = {"switch role", kRoles},
+     .variants = bit(FailureKind::kSwitches)},
+    {.name = "flaps", .member = &FailureSpec::flaps, .lo = 1, .hi = 1024,
+     .variants = kWindowed},
+    {.name = "period_s", .member = &FailureSpec::period_s,
+     .rule = Rule::kPositive, .variants = kWindowed,
+     .written = [](const FailureSpec& f) { return f.flaps > 1; }},
+    {.name = "seed", .member = &FailureSpec::seed, .variants = kSampled},
+};
+
+// The lossy-channel knobs and the per-operation delays are read for type
+// only: ControlChannelOptions::validate() and
+// ConversionDelayModel::validate() are the single authorities on their
+// ranges, and compile_scenario calls both before any cell runs, so every
+// rejection message has exactly one home.
+constexpr Key<ConversionSpec> kConversionKeys[] = {
+    {.name = "at_s", .member = &ConversionSpec::at_s,
+     .rule = Rule::kNonNegative},
+    {.name = "to", .member = &ConversionSpec::to, .required = true},
+    {.name = "staged", .member = &ConversionSpec::staged},
+    {.name = "stage_checkpoints", .member = &ConversionSpec::stage_checkpoints},
+    {.name = "ocs_partitions", .member = &ConversionSpec::ocs_partitions,
+     .lo = 1, .hi = 64},
+    {.name = "drop_probability", .member = &ConversionSpec::drop_probability},
+    {.name = "channel_delay_s", .member = &ConversionSpec::channel_delay_s},
+    {.name = "channel_timeout_s", .member = &ConversionSpec::channel_timeout_s},
+    {.name = "channel_backoff", .member = &ConversionSpec::channel_backoff},
+    {.name = "channel_jitter", .member = &ConversionSpec::channel_jitter},
+    {.name = "channel_max_attempts",
+     .member = &ConversionSpec::channel_max_attempts, .lo = 0, .hi = kBig},
+    {.name = "seed", .member = &ConversionSpec::seed},
+    {.name = "controllers", .member = &ConversionSpec::controllers, .lo = 1,
+     .hi = 4096},
+    {.name = "ocs_s", .member = &ConversionSpec::ocs_s},
+    {.name = "rule_delete_s", .member = &ConversionSpec::rule_delete_s},
+    {.name = "rule_add_s", .member = &ConversionSpec::rule_add_s},
+};
+
+constexpr Key<SloSpec> kSloKeys[] = {
+    {.name = "class", .member = &SloSpec::tenant_class},
+    {.name = "metric", .member = &SloSpec::metric, .required = true},
+    {.name = "max", .member = &SloSpec::max_value,
+     .written = [](const SloSpec& s) { return s.has_max; }},
+    {.name = "min", .member = &SloSpec::min_value,
+     .written = [](const SloSpec& s) { return s.has_min; }},
+};
+
+constexpr std::uint32_t kFluid = bit(Engine::kFluid);
+constexpr Key<SimSpec> kSimKeys[] = {
+    {.name = "engine", .member = &SimSpec::engine, .required = true},
+    {.name = "max_time_s", .member = &SimSpec::max_time_s,
+     .rule = Rule::kPositive},
+    {.name = "k_paths", .member = &SimSpec::k_paths, .lo = 1, .hi = 64},
+    {.name = "refresh", .member = &SimSpec::refresh, .variants = kFluid},
+    {.name = "repair_lag_s", .member = &SimSpec::repair_lag_s,
+     .rule = Rule::kNonNegative, .variants = kFluid,
+     .written = [](const SimSpec& s) { return s.repair_lag_s >= 0; }},
+    {.name = "controllers", .member = &SimSpec::controllers, .lo = 1,
+     .hi = 4096, .variants = kFluid},
+    {.name = "count_rules", .member = &SimSpec::count_rules,
+     .variants = kFluid},
+    {.name = "epoch_s", .member = &SimSpec::epoch_s, .rule = Rule::kPositive,
+     .variants = bit(Engine::kAutopilot)},
+};
+
+// ---- table reader -----------------------------------------------------------
+
+// A section's key table; S is deduced from the spec argument.
+template <typename S>
+using Keys = std::type_identity_t<std::span<const Key<S>>>;
+
+// Words the rejection of a key the section's variant does not take, given
+// the mask of variants that do (0 for a key no row declares).
+using Foreign = std::function<std::string(std::uint32_t owners)>;
+
+Foreign not_valid_for(std::string_view noun, std::string_view variant) {
+  return [what = "is not valid for " + std::string{noun} + " " +
+                 quoted(variant)](std::uint32_t) { return what; };
 }
 
-// ---- enums ------------------------------------------------------------------
-
-const char* mode_name(PodMode mode) {
-  switch (mode) {
-    case PodMode::kClos: return "clos";
-    case PodMode::kLocal: return "local";
-    case PodMode::kGlobal: return "global";
-  }
-  return "?";
-}
-
-PodMode pod_mode_from(const Ctx& ctx, const JsonNode& node) {
-  expect_kind(ctx, node, JsonNode::Kind::kString, "pod mode", "string");
-  if (node.string == "clos") return PodMode::kClos;
-  if (node.string == "local") return PodMode::kLocal;
-  if (node.string == "global") return PodMode::kGlobal;
-  ctx.fail(node, "unknown Pod mode " + quoted(node.string) + " (expected " +
-                     expected_list({"clos", "local", "global"}) + ")");
-}
-
-TopologyKind topology_kind_from(const Ctx& ctx, const JsonNode& node) {
-  const std::string s = get_string(ctx, node, "kind");
-  if (s == "fat_tree") return TopologyKind::kFatTree;
-  if (s == "flat_tree") return TopologyKind::kFlatTree;
-  if (s == "random_graph") return TopologyKind::kRandomGraph;
-  if (s == "two_stage") return TopologyKind::kTwoStage;
-  ctx.fail(node,
-           "key \"kind\": unknown topology kind " + quoted(s) + " (expected " +
-               expected_list(
-                   {"fat_tree", "flat_tree", "random_graph", "two_stage"}) +
-               ")");
-}
-
-TrafficPattern traffic_pattern_from(const Ctx& ctx, const JsonNode& node) {
-  const std::string s = get_string(ctx, node, "pattern");
-  if (s == "permutation") return TrafficPattern::kPermutation;
-  if (s == "incast") return TrafficPattern::kIncast;
-  if (s == "class") return TrafficPattern::kClass;
-  if (s == "three_tier") return TrafficPattern::kThreeTier;
-  if (s == "trace") return TrafficPattern::kTrace;
-  if (s == "tenant_churn") return TrafficPattern::kTenantChurn;
-  ctx.fail(node, "key \"pattern\": unknown traffic pattern " + quoted(s) +
-                     " (expected " +
-                     expected_list({"permutation", "incast", "class",
-                                    "three_tier", "trace", "tenant_churn"}) +
-                     ")");
-}
-
-FailureKind failure_kind_from(const Ctx& ctx, const JsonNode& node) {
-  const std::string s = get_string(ctx, node, "kind");
-  if (s == "core_column") return FailureKind::kCoreColumn;
-  if (s == "links") return FailureKind::kLinks;
-  if (s == "switches") return FailureKind::kSwitches;
-  if (s == "controller_crash") return FailureKind::kControllerCrash;
-  if (s == "control_partition") return FailureKind::kControlPartition;
-  ctx.fail(node,
-           "key \"kind\": unknown failure kind " + quoted(s) + " (expected " +
-               expected_list({"core_column", "links", "switches",
-                              "controller_crash", "control_partition"}) +
-               ")");
-}
-
-SloMetric slo_metric_from(const Ctx& ctx, const JsonNode& node) {
-  const std::string s = get_string(ctx, node, "metric");
-  if (s == "worst_fct_s") return SloMetric::kWorstFct;
-  if (s == "p99_fct_s") return SloMetric::kP99Fct;
-  if (s == "p50_fct_s") return SloMetric::kP50Fct;
-  if (s == "mean_fct_s") return SloMetric::kMeanFct;
-  if (s == "completed_frac") return SloMetric::kCompletedFrac;
-  ctx.fail(node, "key \"metric\": unknown SLO metric " + quoted(s) +
-                     " (expected " +
-                     expected_list({"worst_fct_s", "p99_fct_s", "p50_fct_s",
-                                    "mean_fct_s", "completed_frac"}) +
-                     ")");
-}
-
-Engine engine_from(const Ctx& ctx, const JsonNode& node) {
-  const std::string s = get_string(ctx, node, "engine");
-  if (s == "fluid") return Engine::kFluid;
-  if (s == "packet") return Engine::kPacket;
-  if (s == "packet_sharded") return Engine::kPacketSharded;
-  if (s == "autopilot") return Engine::kAutopilot;
-  ctx.fail(node,
-           "key \"engine\": unknown engine " + quoted(s) + " (expected " +
-               expected_list({"fluid", "packet", "packet_sharded",
-                              "autopilot"}) +
-               ")");
-}
-
-RefreshMode refresh_from(const Ctx& ctx, const JsonNode& node) {
-  const std::string s = get_string(ctx, node, "refresh");
-  if (s == "repair") return RefreshMode::kRepair;
-  if (s == "reroute") return RefreshMode::kReroute;
-  if (s == "none") return RefreshMode::kNone;
-  ctx.fail(node, "key \"refresh\": unknown refresh mode " + quoted(s) +
-                     " (expected " +
-                     expected_list({"repair", "reroute", "none"}) + ")");
-}
-
-// ---- sections ---------------------------------------------------------------
-
-std::vector<PodMode> parse_mode_list(const Ctx& ctx, const JsonNode& node,
-                                     std::string_view key,
-                                     std::uint32_t pods) {
+std::vector<PodMode> get_mode_list(const Ctx& ctx, const JsonNode& node,
+                                   std::string_view key) {
   expect_kind(ctx, node, JsonNode::Kind::kArray, key, "array");
   std::vector<PodMode> modes;
-  modes.reserve(node.items.size());
   for (const JsonNode& item : node.items) {
-    modes.push_back(pod_mode_from(ctx, item));
-  }
-  if (modes.size() != 1 && modes.size() != pods) {
-    ctx.fail(node, "key " + quoted(key) + ": expected 1 or " +
-                       std::to_string(pods) + " entries, got " +
-                       std::to_string(modes.size()));
+    modes.push_back(static_cast<PodMode>(
+        get_name(ctx, item, "pod mode", names_of(PodMode{}), false)));
   }
   return modes;
 }
 
+void check_mode_count(const Ctx& ctx, const JsonNode& obj,
+                      std::string_view key, std::size_t count,
+                      std::uint32_t pods) {
+  const JsonNode* node = obj.find(key);
+  if (node != nullptr && count != 1 && count != pods) {
+    ctx.fail(*node, "key " + quoted(key) + ": expected 1 or " +
+                        std::to_string(pods) + " entries, got " +
+                        std::to_string(count));
+  }
+}
+
+template <typename S>
+void read_value(const Ctx& ctx, const JsonNode& node, const Key<S>& key,
+                S& spec) {
+  std::visit(
+      [&](auto member) {
+        if constexpr (!std::is_same_v<decltype(member), std::monostate>) {
+          auto& field = spec.*member;
+          using T = std::remove_reference_t<decltype(field)>;
+          const std::string_view name = key.name;
+          if constexpr (std::is_same_v<T, bool>) {
+            if (!key.names.names.empty()) {
+              field = get_name(ctx, node, name, key.names) == 0;
+            } else {
+              expect_kind(ctx, node, JsonNode::Kind::kBool, name, "bool");
+              field = node.bool_value;
+            }
+          } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+            field = get_u64(ctx, node, name);
+          } else if constexpr (std::is_integral_v<T>) {
+            field = get_int<T>(ctx, node, name, key.lo, key.hi);
+          } else if constexpr (std::is_same_v<T, double>) {
+            field = get_number(ctx, node, name);
+            const bool finite = std::isfinite(field);
+            if (key.rule == Rule::kPositive && !(field > 0 && finite)) {
+              ctx.fail(node, "key " + quoted(name) + ": must be > 0");
+            }
+            if (key.rule == Rule::kNonNegative && !(field >= 0 && finite)) {
+              ctx.fail(node, "key " + quoted(name) + ": must be >= 0");
+            }
+            if (key.rule == Rule::kFraction && !(field >= 0 && field <= 1)) {
+              ctx.fail(node, "key " + quoted(name) + ": must lie in [0, 1]");
+            }
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            field = get_string(ctx, node, name);
+            if (!key.names.names.empty()) {
+              (void)get_name(ctx, node, name, key.names);
+            }
+            if (key.rule == Rule::kIdentifier && !is_identifier(field)) {
+              ctx.fail(node, "key " + quoted(name) + ": must match [a-z0-9_]+");
+            }
+          } else if constexpr (std::is_same_v<T, std::vector<PodMode>>) {
+            field = get_mode_list(ctx, node, name);
+          } else {
+            field = static_cast<T>(get_name(ctx, node, name, names_of(T{})));
+          }
+        }
+      },
+      key.member);
+}
+
+// Reads a section's discriminator, its first row, which picks the
+// variant the rest of the section is checked and read against.
+template <typename S>
+void read_discriminator(const Ctx& ctx, const JsonNode& obj, Keys<S> keys,
+                        S& spec) {
+  read_value(ctx, require_key(ctx, obj, keys[0].name), keys[0], spec);
+}
+
+// Rejects the first member of `obj` that no row declares for `variant`
+// ("unknown key ... in <section>" when no row declares it and `section`
+// is non-empty, "key ... <foreign(owners)>" otherwise), then reads every
+// row `variant` takes in table order: a present key through its rule, an
+// absent required key as a diagnostic, an absent optional key as the
+// member's current (default) value.
+template <typename S>
+void read_keys(const Ctx& ctx, const JsonNode& obj, Keys<S> keys,
+               std::uint32_t variant, S& spec, std::string_view section,
+               const Foreign& foreign = {}) {
+  for (const auto& [name, value] : obj.members) {
+    const auto key =
+        std::find_if(keys.begin(), keys.end(),
+                     [&](const Key<S>& k) { return k.name == name; });
+    const bool declared = key != keys.end();
+    if (declared && (key->variants & variant) != 0) continue;
+    if (!declared && !section.empty()) {
+      ctx.fail(value, "unknown key " + quoted(name) + " in " +
+                          std::string{section});
+    }
+    ctx.fail(value, "key " + quoted(name) + " " +
+                        foreign(declared ? key->variants : 0u));
+  }
+  for (const Key<S>& key : keys) {
+    if ((key.variants & variant) == 0) continue;
+    if (const JsonNode* node = obj.find(key.name)) {
+      read_value(ctx, *node, key, spec);
+    } else if (key.required) {
+      (void)require_key(ctx, obj, key.name);
+    }
+  }
+}
+
+// ---- sections ---------------------------------------------------------------
+
 TopologySpec parse_topology(const Ctx& ctx, const JsonNode& obj) {
   expect_kind(ctx, obj, JsonNode::Kind::kObject, "topology", "object");
-  check_keys(ctx, obj,
-             {"kind", "k", "servers_per_edge", "m", "n", "pod_modes",
-              "wiring_seed"},
-             "topology");
   TopologySpec spec;
-  spec.kind = topology_kind_from(ctx, require_key(ctx, obj, "kind"));
-  if (const JsonNode* node = obj.find("k")) {
-    spec.k = get_u32(ctx, *node, "k", 4, 32);
-    if (spec.k % 2 != 0) ctx.fail(*node, "key \"k\": must be even");
-  }
-  if (const JsonNode* node = obj.find("servers_per_edge")) {
-    spec.servers_per_edge = get_u32(ctx, *node, "servers_per_edge", 1, 256);
-  } else {
+  read_discriminator(ctx, obj, kTopologyKeys, spec);
+  if (spec.kind == TopologyKind::kFlatTree) spec.pod_modes = {PodMode::kClos};
+  read_keys(ctx, obj, kTopologyKeys, bit(spec.kind), spec, "topology",
+            [](std::uint32_t owners) {
+              std::vector<std::string_view> kinds;
+              for (std::size_t i = 0; i < std::size(kTopologyKinds); ++i) {
+                if ((owners >> i) & 1u) kinds.push_back(kTopologyKinds[i]);
+              }
+              return "is only valid for kind " + expected_list(kinds);
+            });
+  if (spec.k % 2 != 0) ctx.fail(*obj.find("k"), "key \"k\": must be even");
+  if (obj.find("servers_per_edge") == nullptr) {
     spec.servers_per_edge = spec.k / 2;
   }
-  const bool flat = spec.kind == TopologyKind::kFatTree ||
-                    spec.kind == TopologyKind::kFlatTree;
-  if (const JsonNode* node = obj.find("m")) {
-    if (!flat) {
-      ctx.fail(*node,
-               "key \"m\" is only valid for kind \"fat_tree\" or "
-               "\"flat_tree\"");
-    }
-    spec.m = get_u32(ctx, *node, "m", 0, 256);
-  }
-  if (const JsonNode* node = obj.find("n")) {
-    if (!flat) {
-      ctx.fail(*node,
-               "key \"n\" is only valid for kind \"fat_tree\" or "
-               "\"flat_tree\"");
-    }
-    spec.n = get_u32(ctx, *node, "n", 0, 256);
-  }
-  if (const JsonNode* node = obj.find("pod_modes")) {
-    if (spec.kind != TopologyKind::kFlatTree) {
-      ctx.fail(*node, "key \"pod_modes\" is only valid for kind \"flat_tree\"");
-    }
-    spec.pod_modes = parse_mode_list(ctx, *node, "pod_modes", spec.k);
-  } else if (spec.kind == TopologyKind::kFlatTree) {
-    spec.pod_modes = {PodMode::kClos};
-  }
-  if (const JsonNode* node = obj.find("wiring_seed")) {
-    if (spec.kind != TopologyKind::kRandomGraph &&
-        spec.kind != TopologyKind::kTwoStage) {
-      ctx.fail(*node,
-               "key \"wiring_seed\" is only valid for kind \"random_graph\" "
-               "or \"two_stage\"");
-    }
-    spec.wiring_seed = get_u64(ctx, *node, "wiring_seed");
-  }
+  check_mode_count(ctx, obj, "pod_modes", spec.pod_modes.size(), spec.k);
   return spec;
-}
-
-// Keys each traffic pattern understands, beyond the shared
-// pattern/class/seed/start_s quartet.
-std::span<const std::string_view> pattern_keys(TrafficPattern pattern) {
-  static constexpr std::string_view kPermutation[] = {"bytes"};
-  static constexpr std::string_view kIncast[] = {
-      "groups", "fanin", "requests", "period_s", "pod_local", "mean_bytes",
-      "alpha", "max_bytes"};
-  static constexpr std::string_view kClass[] = {
-      "duration_s", "flows_per_s", "mean_bytes", "alpha", "max_bytes",
-      "intra_rack_frac", "intra_pod_frac", "hot_pod", "hot_pod_frac"};
-  static constexpr std::string_view kThreeTier[] = {
-      "duration_s", "requests_per_s", "frontend_frac", "cache_frac",
-      "request_bytes", "cache_reply_bytes", "storage_reply_bytes",
-      "miss_frac", "think_s"};
-  static constexpr std::string_view kTrace[] = {"profile", "duration_s",
-                                                "flows_per_s"};
-  static constexpr std::string_view kTenantChurn[] = {
-      "duration_s", "arrivals_per_s", "mean_lifetime_s", "flows_per_s"};
-  switch (pattern) {
-    case TrafficPattern::kPermutation: return kPermutation;
-    case TrafficPattern::kIncast: return kIncast;
-    case TrafficPattern::kClass: return kClass;
-    case TrafficPattern::kThreeTier: return kThreeTier;
-    case TrafficPattern::kTrace: return kTrace;
-    case TrafficPattern::kTenantChurn: return kTenantChurn;
-  }
-  return {};
-}
-
-bool any_pattern_has_key(std::string_view key) {
-  for (const TrafficPattern p :
-       {TrafficPattern::kPermutation, TrafficPattern::kIncast,
-        TrafficPattern::kClass, TrafficPattern::kThreeTier,
-        TrafficPattern::kTrace, TrafficPattern::kTenantChurn}) {
-    const auto keys = pattern_keys(p);
-    if (std::find(keys.begin(), keys.end(), key) != keys.end()) return true;
-  }
-  return false;
 }
 
 TrafficSpec parse_traffic_entry(const Ctx& ctx, const JsonNode& obj,
                                 std::uint64_t default_seed) {
   expect_kind(ctx, obj, JsonNode::Kind::kObject, "traffic entry", "object");
   TrafficSpec spec;
-  spec.pattern = traffic_pattern_from(ctx, require_key(ctx, obj, "pattern"));
-  const auto allowed = pattern_keys(spec.pattern);
-  for (const auto& [key, value] : obj.members) {
-    if (key == "pattern" || key == "class" || key == "seed" ||
-        key == "start_s") {
-      continue;
-    }
-    if (std::find(allowed.begin(), allowed.end(), key) != allowed.end()) {
-      continue;
-    }
-    if (any_pattern_has_key(key)) {
-      ctx.fail(value, "key " + quoted(key) + " is not valid for pattern " +
-                          quoted(to_string(spec.pattern)));
-    }
-    ctx.fail(value, "unknown key " + quoted(key) + " in traffic entry");
-  }
-  if (const JsonNode* node = obj.find("class")) {
-    spec.tenant_class = get_string(ctx, *node, "class");
-    if (!is_identifier(spec.tenant_class)) {
-      ctx.fail(*node, "key \"class\": must match [a-z0-9_]+");
-    }
-  }
+  read_discriminator(ctx, obj, kTrafficKeys, spec);
+  // Per-pattern defaults of the keys patterns share.
   spec.seed = default_seed;
-  if (const JsonNode* node = obj.find("seed")) {
-    spec.seed = get_u64(ctx, *node, "seed");
+  if (spec.pattern == TrafficPattern::kClass) spec.alpha = 1.6;
+  if (spec.pattern == TrafficPattern::kTrace) spec.flows_per_s = 1000.0;
+  if (spec.pattern == TrafficPattern::kTenantChurn) {
+    spec.duration_s = 10.0;
+    spec.flows_per_s = 800.0;
   }
-  if (const JsonNode* node = obj.find("start_s")) {
-    spec.start_s = get_non_negative(ctx, *node, "start_s");
-  }
-  const auto num = [&](const char* key, double& out,
-                       double (*get)(const Ctx&, const JsonNode&,
-                                     std::string_view)) {
-    if (const JsonNode* node = obj.find(key)) out = get(ctx, *node, key);
-  };
-  switch (spec.pattern) {
-    case TrafficPattern::kPermutation:
-      num("bytes", spec.bytes, get_positive);
-      break;
-    case TrafficPattern::kIncast: {
-      if (const JsonNode* node = obj.find("groups")) {
-        spec.groups = get_u32(ctx, *node, "groups", 1, 4096);
-      }
-      if (const JsonNode* node = obj.find("fanin")) {
-        spec.fanin = get_u32(ctx, *node, "fanin", 1, 4096);
-      }
-      if (const JsonNode* node = obj.find("requests")) {
-        spec.requests = get_u32(ctx, *node, "requests", 1, 4096);
-      }
-      num("period_s", spec.period_s, get_positive);
-      if (const JsonNode* node = obj.find("pod_local")) {
-        spec.pod_local = get_bool(ctx, *node, "pod_local");
-      }
-      num("mean_bytes", spec.mean_bytes, get_positive);
-      num("max_bytes", spec.max_bytes, get_positive);
-      if (const JsonNode* node = obj.find("alpha")) {
-        spec.alpha = get_number(ctx, *node, "alpha");
-        if (!(spec.alpha > 1)) ctx.fail(*node, "key \"alpha\": must be > 1");
-      }
-      break;
-    }
-    case TrafficPattern::kClass: {
-      num("duration_s", spec.duration_s, get_positive);
-      num("flows_per_s", spec.flows_per_s, get_positive);
-      num("mean_bytes", spec.mean_bytes, get_positive);
-      num("max_bytes", spec.max_bytes, get_positive);
-      if (const JsonNode* node = obj.find("alpha")) {
-        spec.alpha = get_number(ctx, *node, "alpha");
-        if (!(spec.alpha > 1)) ctx.fail(*node, "key \"alpha\": must be > 1");
-      } else {
-        spec.alpha = 1.6;
-      }
-      num("intra_rack_frac", spec.intra_rack_frac, get_fraction);
-      num("intra_pod_frac", spec.intra_pod_frac, get_fraction);
-      if (const JsonNode* node = obj.find("hot_pod")) {
-        spec.hot_pod = get_i32(ctx, *node, "hot_pod", -1, 1 << 20);
-      }
-      num("hot_pod_frac", spec.hot_pod_frac, get_fraction);
-      break;
-    }
-    case TrafficPattern::kThreeTier: {
-      num("duration_s", spec.duration_s, get_positive);
-      num("requests_per_s", spec.requests_per_s, get_positive);
-      num("frontend_frac", spec.frontend_frac, get_fraction);
-      num("cache_frac", spec.cache_frac, get_fraction);
-      num("request_bytes", spec.request_bytes, get_positive);
-      num("cache_reply_bytes", spec.cache_reply_bytes, get_positive);
-      num("storage_reply_bytes", spec.storage_reply_bytes, get_positive);
-      num("miss_frac", spec.miss_frac, get_fraction);
-      num("think_s", spec.think_s, get_non_negative);
-      break;
-    }
-    case TrafficPattern::kTrace: {
-      const JsonNode& profile = require_key(ctx, obj, "profile");
-      spec.profile = get_string(ctx, profile, "profile");
-      if (spec.profile != "hadoop1" && spec.profile != "hadoop2" &&
-          spec.profile != "web" && spec.profile != "cache") {
-        ctx.fail(profile,
-                 "key \"profile\": unknown trace profile " +
-                     quoted(spec.profile) + " (expected " +
-                     expected_list({"hadoop1", "hadoop2", "web", "cache"}) +
-                     ")");
-      }
-      num("duration_s", spec.duration_s, get_positive);
-      spec.flows_per_s = 1000.0;
-      num("flows_per_s", spec.flows_per_s, get_positive);
-      break;
-    }
-    case TrafficPattern::kTenantChurn: {
-      spec.duration_s = 10.0;
-      num("duration_s", spec.duration_s, get_positive);
-      num("arrivals_per_s", spec.arrivals_per_s, get_positive);
-      num("mean_lifetime_s", spec.mean_lifetime_s, get_positive);
-      spec.flows_per_s = 800.0;
-      num("flows_per_s", spec.flows_per_s, get_positive);
-      break;
-    }
+  read_keys(ctx, obj, kTrafficKeys, bit(spec.pattern), spec, "traffic entry",
+            not_valid_for("pattern", to_string(spec.pattern)));
+  if (!(spec.alpha > 1)) {
+    ctx.fail(*obj.find("alpha"), "key \"alpha\": must be > 1");
   }
   return spec;
 }
@@ -499,99 +595,25 @@ FailureSpec parse_failure_entry(const Ctx& ctx, const JsonNode& obj,
                                 std::uint64_t default_seed) {
   expect_kind(ctx, obj, JsonNode::Kind::kObject, "failure entry", "object");
   FailureSpec spec;
-  spec.kind = failure_kind_from(ctx, require_key(ctx, obj, "kind"));
-  static constexpr std::string_view kShared[] = {"kind", "fail_at",
-                                                 "recover_at", "flaps",
-                                                 "period_s"};
-  // A controller crash has no recovery window or flapping: the standby
-  // takes over, the dead primary never comes back.
-  static constexpr std::string_view kCrashShared[] = {"kind", "fail_at"};
-  static constexpr std::string_view kCoreColumn[] = {"first", "count"};
-  static constexpr std::string_view kLinks[] = {"fraction", "seed"};
-  static constexpr std::string_view kSwitches[] = {"fraction", "role", "seed"};
-  static constexpr std::string_view kControlPartition[] = {"first", "count"};
-  const std::span<const std::string_view> shared =
-      spec.kind == FailureKind::kControllerCrash
-          ? std::span<const std::string_view>{kCrashShared}
-          : std::span<const std::string_view>{kShared};
-  std::span<const std::string_view> specific;
-  switch (spec.kind) {
-    case FailureKind::kCoreColumn:
-      specific = kCoreColumn;
-      break;
-    case FailureKind::kLinks:
-      specific = kLinks;
-      break;
-    case FailureKind::kSwitches:
-      specific = kSwitches;
-      break;
-    case FailureKind::kControllerCrash:
-      break;
-    case FailureKind::kControlPartition:
-      specific = kControlPartition;
-      break;
-  }
-  for (const auto& [key, value] : obj.members) {
-    if (std::find(shared.begin(), shared.end(), key) != shared.end()) continue;
-    if (std::find(specific.begin(), specific.end(), key) != specific.end()) {
-      continue;
-    }
-    ctx.fail(value, "key " + quoted(key) + " is not valid for failure kind " +
-                        quoted(to_string(spec.kind)));
-  }
-  spec.fail_at = get_non_negative(ctx, require_key(ctx, obj, "fail_at"),
-                                  "fail_at");
+  read_discriminator(ctx, obj, kFailureKeys, spec);
+  const std::uint32_t variant = bit(spec.kind);
+  if ((variant & kSampled) != 0) spec.seed = default_seed;
+  read_keys(ctx, obj, kFailureKeys, variant, spec, "",
+            not_valid_for("failure kind", to_string(spec.kind)));
   if (const JsonNode* node = obj.find("recover_at")) {
-    spec.recover_at = get_number(ctx, *node, "recover_at");
     if (!(spec.recover_at > spec.fail_at)) {
       ctx.fail(*node, "key \"recover_at\": must be greater than fail_at");
     }
   }
-  switch (spec.kind) {
-    case FailureKind::kCoreColumn:
-    case FailureKind::kControlPartition:
-      if (const JsonNode* node = obj.find("first")) {
-        spec.first = get_u32(ctx, *node, "first", 0, 1 << 20);
-      }
-      spec.count =
-          get_u32(ctx, require_key(ctx, obj, "count"), "count", 1, 1 << 20);
-      break;
-    case FailureKind::kControllerCrash:
-      break;
-    case FailureKind::kLinks:
-    case FailureKind::kSwitches: {
-      const JsonNode& fraction = require_key(ctx, obj, "fraction");
-      spec.fraction = get_number(ctx, fraction, "fraction");
-      if (!(spec.fraction > 0) || !(spec.fraction <= 1)) {
-        ctx.fail(fraction, "key \"fraction\": must lie in (0, 1]");
-      }
-      if (spec.kind == FailureKind::kSwitches) {
-        if (const JsonNode* node = obj.find("role")) {
-          spec.role = get_string(ctx, *node, "role");
-          if (spec.role != "edge" && spec.role != "agg" &&
-              spec.role != "core") {
-            ctx.fail(*node, "key \"role\": unknown switch role " +
-                                quoted(spec.role) + " (expected " +
-                                expected_list({"edge", "agg", "core"}) + ")");
-          }
-        }
-      }
-      spec.seed = default_seed;
-      if (const JsonNode* node = obj.find("seed")) {
-        spec.seed = get_u64(ctx, *node, "seed");
-      }
-      break;
-    }
-  }
-  if (const JsonNode* node = obj.find("flaps")) {
-    spec.flaps = get_u32(ctx, *node, "flaps", 1, 1024);
+  if ((variant & kSampled) != 0 &&
+      (!(spec.fraction > 0) || !(spec.fraction <= 1))) {
+    ctx.fail(*obj.find("fraction"), "key \"fraction\": must lie in (0, 1]");
   }
   if (spec.flaps > 1) {
     if (spec.recover_at < 0) {
       ctx.fail(*obj.find("flaps"), "key \"flaps\": flapping requires recover_at");
     }
     const JsonNode& period = require_key(ctx, obj, "period_s");
-    spec.period_s = get_positive(ctx, period, "period_s");
     if (!(spec.period_s > spec.recover_at - spec.fail_at)) {
       ctx.fail(period,
                "key \"period_s\": flap period must exceed recover_at - "
@@ -652,76 +674,18 @@ ConversionSpec parse_conversion(const Ctx& ctx, const JsonNode& obj,
   if (topology.kind != TopologyKind::kFlatTree) {
     ctx.fail(obj, "conversion requires topology kind \"flat_tree\"");
   }
-  check_keys(ctx, obj,
-             {"at_s", "to", "staged", "stage_checkpoints", "ocs_partitions",
-              "drop_probability", "channel_delay_s", "channel_timeout_s",
-              "channel_backoff", "channel_jitter", "channel_max_attempts",
-              "seed", "controllers", "ocs_s", "rule_delete_s", "rule_add_s"},
-             "conversion");
   ConversionSpec spec;
   spec.present = true;
   spec.seed = default_seed;
-  if (const JsonNode* node = obj.find("at_s")) {
-    spec.at_s = get_non_negative(ctx, *node, "at_s");
+  read_keys(ctx, obj, kConversionKeys, ~0u, spec, "conversion");
+  check_mode_count(ctx, obj, "to", spec.to.size(), topology.k);
+  if (spec.stage_checkpoints && !spec.staged) {
+    ctx.fail(*obj.find("stage_checkpoints"),
+             "key \"stage_checkpoints\" requires staged");
   }
-  spec.to = parse_mode_list(ctx, require_key(ctx, obj, "to"), "to", topology.k);
-  if (const JsonNode* node = obj.find("staged")) {
-    spec.staged = get_bool(ctx, *node, "staged");
-  }
-  if (const JsonNode* node = obj.find("stage_checkpoints")) {
-    spec.stage_checkpoints = get_bool(ctx, *node, "stage_checkpoints");
-    if (spec.stage_checkpoints && !spec.staged) {
-      ctx.fail(*node, "key \"stage_checkpoints\" requires staged");
-    }
-  }
-  if (const JsonNode* node = obj.find("ocs_partitions")) {
-    spec.ocs_partitions = get_u32(ctx, *node, "ocs_partitions", 1, 64);
-  }
-  if (const JsonNode* node = obj.find("drop_probability")) {
-    spec.drop_probability = get_number(ctx, *node, "drop_probability");
-    if (!(spec.drop_probability >= 0) || !(spec.drop_probability < 1)) {
-      ctx.fail(*node, "key \"drop_probability\": must lie in [0, 1)");
-    }
-  }
-  // The remaining lossy-channel knobs are parsed for type only:
-  // ControlChannelOptions::validate() is the single authority on channel
-  // ranges, and the compiler calls it before any cell runs — so every
-  // rejection message has exactly one home (and the regression tests pin
-  // each one there).
-  if (const JsonNode* node = obj.find("channel_delay_s")) {
-    spec.channel_delay_s = get_number(ctx, *node, "channel_delay_s");
-  }
-  if (const JsonNode* node = obj.find("channel_timeout_s")) {
-    spec.channel_timeout_s = get_number(ctx, *node, "channel_timeout_s");
-  }
-  if (const JsonNode* node = obj.find("channel_backoff")) {
-    spec.channel_backoff = get_number(ctx, *node, "channel_backoff");
-  }
-  if (const JsonNode* node = obj.find("channel_jitter")) {
-    spec.channel_jitter = get_number(ctx, *node, "channel_jitter");
-  }
-  if (const JsonNode* node = obj.find("channel_max_attempts")) {
-    spec.channel_max_attempts =
-        get_u32(ctx, *node, "channel_max_attempts", 0, 1 << 20);
-  }
-  if (const JsonNode* node = obj.find("seed")) {
-    spec.seed = get_u64(ctx, *node, "seed");
-  }
-  if (const JsonNode* node = obj.find("controllers")) {
-    spec.controllers = get_u32(ctx, *node, "controllers", 1, 4096);
-  }
-  // The per-operation delays deliberately get no parse-time range check:
-  // ConversionDelayModel::validate() is the single authority on what a legal
-  // delay model is, and the compiler invokes it (satellite: invalid embedded
-  // models are rejected before any cell runs, with this file's name).
-  if (const JsonNode* node = obj.find("ocs_s")) {
-    spec.ocs_s = get_number(ctx, *node, "ocs_s");
-  }
-  if (const JsonNode* node = obj.find("rule_delete_s")) {
-    spec.rule_delete_s = get_number(ctx, *node, "rule_delete_s");
-  }
-  if (const JsonNode* node = obj.find("rule_add_s")) {
-    spec.rule_add_s = get_number(ctx, *node, "rule_add_s");
+  if (!(spec.drop_probability >= 0) || !(spec.drop_probability < 1)) {
+    ctx.fail(*obj.find("drop_probability"),
+             "key \"drop_probability\": must lie in [0, 1)");
   }
   return spec;
 }
@@ -729,31 +693,18 @@ ConversionSpec parse_conversion(const Ctx& ctx, const JsonNode& obj,
 SloSpec parse_slo(const Ctx& ctx, const JsonNode& obj,
                   const std::vector<TrafficSpec>& traffic) {
   expect_kind(ctx, obj, JsonNode::Kind::kObject, "slo entry", "object");
-  check_keys(ctx, obj, {"class", "metric", "max", "min"}, "slo entry");
   SloSpec spec;
-  if (const JsonNode* node = obj.find("class")) {
-    spec.tenant_class = get_string(ctx, *node, "class");
-    if (!spec.tenant_class.empty()) {
-      const bool defined =
-          std::any_of(traffic.begin(), traffic.end(), [&](const TrafficSpec& t) {
-            return t.tenant_class == spec.tenant_class;
-          });
-      if (!defined) {
-        ctx.fail(*node, "key \"class\": tenant class " +
-                            quoted(spec.tenant_class) +
-                            " is not defined by any traffic entry");
-      }
-    }
+  read_keys(ctx, obj, kSloKeys, ~0u, spec, "slo entry");
+  if (!spec.tenant_class.empty() &&
+      std::none_of(traffic.begin(), traffic.end(), [&](const TrafficSpec& t) {
+        return t.tenant_class == spec.tenant_class;
+      })) {
+    ctx.fail(*obj.find("class"), "key \"class\": tenant class " +
+                                     quoted(spec.tenant_class) +
+                                     " is not defined by any traffic entry");
   }
-  spec.metric = slo_metric_from(ctx, require_key(ctx, obj, "metric"));
-  if (const JsonNode* node = obj.find("max")) {
-    spec.has_max = true;
-    spec.max_value = get_number(ctx, *node, "max");
-  }
-  if (const JsonNode* node = obj.find("min")) {
-    spec.has_min = true;
-    spec.min_value = get_number(ctx, *node, "min");
-  }
+  spec.has_max = obj.find("max") != nullptr;
+  spec.has_min = obj.find("min") != nullptr;
   if (!spec.has_max && !spec.has_min) {
     ctx.fail(obj, "slo requires \"max\" or \"min\"");
   }
@@ -765,132 +716,30 @@ SloSpec parse_slo(const Ctx& ctx, const JsonNode& obj,
 
 SimSpec parse_sim(const Ctx& ctx, const JsonNode* obj,
                   const TopologySpec& topology) {
-  const bool flat = topology.kind == TopologyKind::kFatTree ||
-                    topology.kind == TopologyKind::kFlatTree;
+  const bool flat = (bit(topology.kind) & kFlatKinds) != 0;
   SimSpec spec;
   spec.refresh = flat ? RefreshMode::kRepair : RefreshMode::kReroute;
   if (obj == nullptr) return spec;
   expect_kind(ctx, *obj, JsonNode::Kind::kObject, "sim", "object");
-  spec.engine = engine_from(ctx, require_key(ctx, *obj, "engine"));
-  static constexpr std::string_view kShared[] = {"engine", "max_time_s",
-                                                 "k_paths"};
-  static constexpr std::string_view kFluid[] = {"refresh", "repair_lag_s",
-                                                "controllers", "count_rules"};
-  static constexpr std::string_view kAutopilot[] = {"epoch_s"};
-  const std::span<const std::string_view> shared = kShared;
-  std::span<const std::string_view> specific;
-  switch (spec.engine) {
-    case Engine::kFluid:
-      specific = kFluid;
-      break;
-    case Engine::kPacket:
-    case Engine::kPacketSharded:
-      break;
-    case Engine::kAutopilot:
-      specific = kAutopilot;
-      break;
-  }
-  for (const auto& [key, value] : obj->members) {
-    if (std::find(shared.begin(), shared.end(), key) != shared.end()) continue;
-    if (std::find(specific.begin(), specific.end(), key) != specific.end()) {
-      continue;
-    }
-    ctx.fail(value, "key " + quoted(key) + " is not valid for engine " +
-                        quoted(to_string(spec.engine)));
-  }
-  if (const JsonNode* node = obj->find("max_time_s")) {
-    spec.max_time_s = get_positive(ctx, *node, "max_time_s");
-  }
-  if (const JsonNode* node = obj->find("k_paths")) {
-    spec.k_paths = get_u32(ctx, *node, "k_paths", 1, 64);
-  }
-  if (const JsonNode* node = obj->find("refresh")) {
-    spec.refresh = refresh_from(ctx, *node);
-    if (spec.refresh == RefreshMode::kRepair && !flat) {
-      ctx.fail(*node,
-               "key \"refresh\": \"repair\" requires topology kind "
-               "\"fat_tree\" or \"flat_tree\"");
-    }
-  }
-  if (const JsonNode* node = obj->find("repair_lag_s")) {
-    spec.repair_lag_s = get_non_negative(ctx, *node, "repair_lag_s");
-  }
-  if (const JsonNode* node = obj->find("controllers")) {
-    spec.controllers = get_u32(ctx, *node, "controllers", 1, 4096);
-  }
-  if (const JsonNode* node = obj->find("count_rules")) {
-    spec.count_rules = get_bool(ctx, *node, "count_rules");
-  }
-  if (const JsonNode* node = obj->find("epoch_s")) {
-    spec.epoch_s = get_positive(ctx, *node, "epoch_s");
+  read_discriminator(ctx, *obj, kSimKeys, spec);
+  read_keys(ctx, *obj, kSimKeys, bit(spec.engine), spec, "",
+            not_valid_for("engine", to_string(spec.engine)));
+  if (spec.refresh == RefreshMode::kRepair && !flat) {
+    ctx.fail(*obj->find("refresh"),
+             "key \"refresh\": \"repair\" requires topology kind "
+             "\"fat_tree\" or \"flat_tree\"");
   }
   return spec;
 }
 
 }  // namespace
 
-const char* to_string(TopologyKind kind) {
-  switch (kind) {
-    case TopologyKind::kFatTree: return "fat_tree";
-    case TopologyKind::kFlatTree: return "flat_tree";
-    case TopologyKind::kRandomGraph: return "random_graph";
-    case TopologyKind::kTwoStage: return "two_stage";
-  }
-  return "?";
-}
-
-const char* to_string(TrafficPattern pattern) {
-  switch (pattern) {
-    case TrafficPattern::kPermutation: return "permutation";
-    case TrafficPattern::kIncast: return "incast";
-    case TrafficPattern::kClass: return "class";
-    case TrafficPattern::kThreeTier: return "three_tier";
-    case TrafficPattern::kTrace: return "trace";
-    case TrafficPattern::kTenantChurn: return "tenant_churn";
-  }
-  return "?";
-}
-
-const char* to_string(FailureKind kind) {
-  switch (kind) {
-    case FailureKind::kCoreColumn: return "core_column";
-    case FailureKind::kLinks: return "links";
-    case FailureKind::kSwitches: return "switches";
-    case FailureKind::kControllerCrash: return "controller_crash";
-    case FailureKind::kControlPartition: return "control_partition";
-  }
-  return "?";
-}
-
-const char* to_string(SloMetric metric) {
-  switch (metric) {
-    case SloMetric::kWorstFct: return "worst_fct_s";
-    case SloMetric::kP99Fct: return "p99_fct_s";
-    case SloMetric::kP50Fct: return "p50_fct_s";
-    case SloMetric::kMeanFct: return "mean_fct_s";
-    case SloMetric::kCompletedFrac: return "completed_frac";
-  }
-  return "?";
-}
-
-const char* to_string(Engine engine) {
-  switch (engine) {
-    case Engine::kFluid: return "fluid";
-    case Engine::kPacket: return "packet";
-    case Engine::kPacketSharded: return "packet_sharded";
-    case Engine::kAutopilot: return "autopilot";
-  }
-  return "?";
-}
-
-const char* to_string(RefreshMode mode) {
-  switch (mode) {
-    case RefreshMode::kRepair: return "repair";
-    case RefreshMode::kReroute: return "reroute";
-    case RefreshMode::kNone: return "none";
-  }
-  return "?";
-}
+const char* to_string(TopologyKind kind) { return name_of(kind); }
+const char* to_string(TrafficPattern pattern) { return name_of(pattern); }
+const char* to_string(FailureKind kind) { return name_of(kind); }
+const char* to_string(SloMetric metric) { return name_of(metric); }
+const char* to_string(Engine engine) { return name_of(engine); }
+const char* to_string(RefreshMode mode) { return name_of(mode); }
 
 Scenario parse_scenario(std::string_view text, std::string_view file) {
   const Ctx ctx{file};
@@ -899,32 +748,8 @@ Scenario parse_scenario(std::string_view text, std::string_view file) {
     ctx.fail(root, std::string{"expected a scenario object, got "} +
                        root.kind_name());
   }
-  check_keys(ctx, root,
-             {"name", "seed", "expect", "topology", "traffic", "failures",
-              "conversion", "slos", "sim"},
-             "scenario");
-
   Scenario scenario;
-  const JsonNode& name = require_key(ctx, root, "name");
-  scenario.name = get_string(ctx, name, "name");
-  if (!is_identifier(scenario.name)) {
-    ctx.fail(name, "key \"name\": must match [a-z0-9_]+");
-  }
-  if (const JsonNode* node = root.find("seed")) {
-    scenario.seed = get_u64(ctx, *node, "seed");
-  }
-  if (const JsonNode* node = root.find("expect")) {
-    const std::string verdict = get_string(ctx, *node, "expect");
-    if (verdict == "pass") {
-      scenario.expect_pass = true;
-    } else if (verdict == "fail") {
-      scenario.expect_pass = false;
-    } else {
-      ctx.fail(*node, "key \"expect\": unknown verdict " + quoted(verdict) +
-                          " (expected " + expected_list({"pass", "fail"}) +
-                          ")");
-    }
-  }
+  read_keys(ctx, root, kScenarioKeys, ~0u, scenario, "scenario");
 
   scenario.topology = parse_topology(ctx, require_key(ctx, root, "topology"));
 
@@ -1117,247 +942,56 @@ class JsonWriter {
   bool just_keyed_{false};
 };
 
-void write_mode_list(JsonWriter& w, std::string_view key,
-                     const std::vector<PodMode>& modes) {
+// Writes every row `variant` takes, in table order, skipping section rows
+// and rows whose `written` says the value is implicit.
+template <typename S>
+void write_keys(JsonWriter& w, Keys<S> keys,
+                std::uint32_t variant, const S& spec) {
+  for (const Key<S>& key : keys) {
+    if ((key.variants & variant) == 0) continue;
+    if (key.written != nullptr && !key.written(spec)) continue;
+    std::visit(
+        [&](auto member) {
+          if constexpr (!std::is_same_v<decltype(member), std::monostate>) {
+            const auto& field = spec.*member;
+            using T = std::remove_cvref_t<decltype(field)>;
+            w.key(key.name);
+            if constexpr (std::is_same_v<T, std::vector<PodMode>>) {
+              w.begin_array();
+              for (const PodMode mode : field) w.value(to_string(mode));
+              w.end_array();
+            } else if constexpr (std::is_enum_v<T>) {
+              w.value(name_of(field));
+            } else if constexpr (std::is_same_v<T, bool>) {
+              if (key.names.names.empty()) {
+                w.value(field);
+              } else {
+                w.value(std::string{key.names.names[field ? 0 : 1]});
+              }
+            } else {
+              w.value(field);
+            }
+          }
+        },
+        key.member);
+  }
+}
+
+template <typename S>
+void write_object(JsonWriter& w, Keys<S> keys,
+                  std::uint32_t variant, const S& spec) {
+  w.begin_object();
+  write_keys(w, keys, variant, spec);
+  w.end_object();
+}
+
+template <typename S, typename Variant>
+void write_array(JsonWriter& w, std::string_view key, Keys<S> keys,
+                 const std::vector<S>& items, Variant variant) {
   w.key(key);
   w.begin_array();
-  for (const PodMode mode : modes) w.value(mode_name(mode));
+  for (const S& item : items) write_object(w, keys, variant(item), item);
   w.end_array();
-}
-
-void write_topology(JsonWriter& w, const TopologySpec& t) {
-  w.key("topology");
-  w.begin_object();
-  w.key("kind");
-  w.value(to_string(t.kind));
-  w.key("k");
-  w.value(t.k);
-  w.key("servers_per_edge");
-  w.value(t.servers_per_edge);
-  if (t.m != TopologySpec::kAuto) {
-    w.key("m");
-    w.value(t.m);
-  }
-  if (t.n != TopologySpec::kAuto) {
-    w.key("n");
-    w.value(t.n);
-  }
-  if (t.kind == TopologyKind::kFlatTree) {
-    write_mode_list(w, "pod_modes", t.pod_modes);
-  }
-  if (t.kind == TopologyKind::kRandomGraph ||
-      t.kind == TopologyKind::kTwoStage) {
-    w.key("wiring_seed");
-    w.value(t.wiring_seed);
-  }
-  w.end_object();
-}
-
-void write_traffic_entry(JsonWriter& w, const TrafficSpec& t) {
-  w.begin_object();
-  w.key("pattern");
-  w.value(to_string(t.pattern));
-  w.key("class");
-  w.value(t.tenant_class);
-  w.key("seed");
-  w.value(t.seed);
-  w.key("start_s");
-  w.value(t.start_s);
-  const auto num = [&](const char* key, double v) {
-    w.key(key);
-    w.value(v);
-  };
-  switch (t.pattern) {
-    case TrafficPattern::kPermutation:
-      num("bytes", t.bytes);
-      break;
-    case TrafficPattern::kIncast:
-      w.key("groups");
-      w.value(t.groups);
-      w.key("fanin");
-      w.value(t.fanin);
-      w.key("requests");
-      w.value(t.requests);
-      num("period_s", t.period_s);
-      w.key("pod_local");
-      w.value(t.pod_local);
-      num("mean_bytes", t.mean_bytes);
-      num("alpha", t.alpha);
-      num("max_bytes", t.max_bytes);
-      break;
-    case TrafficPattern::kClass:
-      num("duration_s", t.duration_s);
-      num("flows_per_s", t.flows_per_s);
-      num("mean_bytes", t.mean_bytes);
-      num("alpha", t.alpha);
-      num("max_bytes", t.max_bytes);
-      num("intra_rack_frac", t.intra_rack_frac);
-      num("intra_pod_frac", t.intra_pod_frac);
-      w.key("hot_pod");
-      w.value(static_cast<std::int64_t>(t.hot_pod));
-      num("hot_pod_frac", t.hot_pod_frac);
-      break;
-    case TrafficPattern::kThreeTier:
-      num("duration_s", t.duration_s);
-      num("requests_per_s", t.requests_per_s);
-      num("frontend_frac", t.frontend_frac);
-      num("cache_frac", t.cache_frac);
-      num("request_bytes", t.request_bytes);
-      num("cache_reply_bytes", t.cache_reply_bytes);
-      num("storage_reply_bytes", t.storage_reply_bytes);
-      num("miss_frac", t.miss_frac);
-      num("think_s", t.think_s);
-      break;
-    case TrafficPattern::kTrace:
-      w.key("profile");
-      w.value(t.profile);
-      num("duration_s", t.duration_s);
-      num("flows_per_s", t.flows_per_s);
-      break;
-    case TrafficPattern::kTenantChurn:
-      num("duration_s", t.duration_s);
-      num("arrivals_per_s", t.arrivals_per_s);
-      num("mean_lifetime_s", t.mean_lifetime_s);
-      num("flows_per_s", t.flows_per_s);
-      break;
-  }
-  w.end_object();
-}
-
-void write_failure_entry(JsonWriter& w, const FailureSpec& f) {
-  w.begin_object();
-  w.key("kind");
-  w.value(to_string(f.kind));
-  w.key("fail_at");
-  w.value(f.fail_at);
-  if (f.recover_at >= 0) {
-    w.key("recover_at");
-    w.value(f.recover_at);
-  }
-  switch (f.kind) {
-    case FailureKind::kCoreColumn:
-    case FailureKind::kControlPartition:
-      w.key("first");
-      w.value(f.first);
-      w.key("count");
-      w.value(f.count);
-      break;
-    case FailureKind::kLinks:
-      w.key("fraction");
-      w.value(f.fraction);
-      break;
-    case FailureKind::kSwitches:
-      w.key("fraction");
-      w.value(f.fraction);
-      w.key("role");
-      w.value(f.role);
-      break;
-    case FailureKind::kControllerCrash:
-      break;
-  }
-  // controller_crash admits neither flapping nor a seed; materializing
-  // either would break the canonical fixed point (the reparse rejects the
-  // key).
-  if (f.kind != FailureKind::kControllerCrash) {
-    w.key("flaps");
-    w.value(f.flaps);
-    if (f.flaps > 1) {
-      w.key("period_s");
-      w.value(f.period_s);
-    }
-  }
-  if (f.kind == FailureKind::kLinks || f.kind == FailureKind::kSwitches) {
-    w.key("seed");
-    w.value(f.seed);
-  }
-  w.end_object();
-}
-
-void write_conversion(JsonWriter& w, const ConversionSpec& c) {
-  w.key("conversion");
-  w.begin_object();
-  w.key("at_s");
-  w.value(c.at_s);
-  write_mode_list(w, "to", c.to);
-  w.key("staged");
-  w.value(c.staged);
-  w.key("stage_checkpoints");
-  w.value(c.stage_checkpoints);
-  w.key("ocs_partitions");
-  w.value(c.ocs_partitions);
-  w.key("drop_probability");
-  w.value(c.drop_probability);
-  w.key("channel_delay_s");
-  w.value(c.channel_delay_s);
-  w.key("channel_timeout_s");
-  w.value(c.channel_timeout_s);
-  w.key("channel_backoff");
-  w.value(c.channel_backoff);
-  w.key("channel_jitter");
-  w.value(c.channel_jitter);
-  w.key("channel_max_attempts");
-  w.value(c.channel_max_attempts);
-  w.key("seed");
-  w.value(c.seed);
-  w.key("controllers");
-  w.value(c.controllers);
-  w.key("ocs_s");
-  w.value(c.ocs_s);
-  w.key("rule_delete_s");
-  w.value(c.rule_delete_s);
-  w.key("rule_add_s");
-  w.value(c.rule_add_s);
-  w.end_object();
-}
-
-void write_slo(JsonWriter& w, const SloSpec& s) {
-  w.begin_object();
-  w.key("class");
-  w.value(s.tenant_class);
-  w.key("metric");
-  w.value(to_string(s.metric));
-  if (s.has_max) {
-    w.key("max");
-    w.value(s.max_value);
-  }
-  if (s.has_min) {
-    w.key("min");
-    w.value(s.min_value);
-  }
-  w.end_object();
-}
-
-void write_sim(JsonWriter& w, const SimSpec& s) {
-  w.key("sim");
-  w.begin_object();
-  w.key("engine");
-  w.value(to_string(s.engine));
-  w.key("max_time_s");
-  w.value(s.max_time_s);
-  w.key("k_paths");
-  w.value(s.k_paths);
-  switch (s.engine) {
-    case Engine::kFluid:
-      w.key("refresh");
-      w.value(to_string(s.refresh));
-      if (s.repair_lag_s >= 0) {
-        w.key("repair_lag_s");
-        w.value(s.repair_lag_s);
-      }
-      w.key("controllers");
-      w.value(s.controllers);
-      w.key("count_rules");
-      w.value(s.count_rules);
-      break;
-    case Engine::kPacket:
-    case Engine::kPacketSharded:
-      break;
-    case Engine::kAutopilot:
-      w.key("epoch_s");
-      w.value(s.epoch_s);
-      break;
-  }
-  w.end_object();
 }
 
 }  // namespace
@@ -1365,33 +999,26 @@ void write_sim(JsonWriter& w, const SimSpec& s) {
 std::string canonical_json(const Scenario& scenario) {
   JsonWriter w;
   w.begin_object();
-  w.key("name");
-  w.value(scenario.name);
-  w.key("seed");
-  w.value(scenario.seed);
-  w.key("expect");
-  w.value(scenario.expect_pass ? "pass" : "fail");
-  write_topology(w, scenario.topology);
-  w.key("traffic");
-  w.begin_array();
-  for (const TrafficSpec& t : scenario.traffic) write_traffic_entry(w, t);
-  w.end_array();
+  write_keys(w, kScenarioKeys, ~0u, scenario);
+  w.key("topology");
+  write_object(w, kTopologyKeys, bit(scenario.topology.kind),
+               scenario.topology);
+  write_array(w, "traffic", kTrafficKeys, scenario.traffic,
+              [](const TrafficSpec& t) { return bit(t.pattern); });
   if (!scenario.failures.empty()) {
-    w.key("failures");
-    w.begin_array();
-    for (const FailureSpec& f : scenario.failures) write_failure_entry(w, f);
-    w.end_array();
+    write_array(w, "failures", kFailureKeys, scenario.failures,
+                [](const FailureSpec& f) { return bit(f.kind); });
   }
   if (scenario.conversion.present) {
-    write_conversion(w, scenario.conversion);
+    w.key("conversion");
+    write_object(w, kConversionKeys, ~0u, scenario.conversion);
   }
   if (!scenario.slos.empty()) {
-    w.key("slos");
-    w.begin_array();
-    for (const SloSpec& s : scenario.slos) write_slo(w, s);
-    w.end_array();
+    write_array(w, "slos", kSloKeys, scenario.slos,
+                [](const SloSpec&) { return ~0u; });
   }
-  write_sim(w, scenario.sim);
+  w.key("sim");
+  write_object(w, kSimKeys, bit(scenario.sim.engine), scenario.sim);
   w.end_object();
   return w.take();
 }
