@@ -4,6 +4,10 @@
 # must be byte-identical across thread counts. Runs one bench at
 # --threads 1/2/8 with --metrics-out and --trace-out enabled and diffs the
 # metrics JSON, the BENCH json (metrics block folded in), and stdout.
+# When tests/golden/metrics_<bench-name>.json exists, the --threads 1
+# metrics export must also match it byte for byte, so the set of metrics a
+# bench exports (every sink a pipeline attaches) is pinned, not just its
+# thread-count invariance.
 #
 # usage: check_obs_determinism.sh <bench-binary> <bench-name> [bench-args...]
 # Extra arguments are passed through to every invocation (e.g. --quick).
@@ -12,6 +16,7 @@ set -u
 bin="$1"
 name="$2"
 shift 2
+golden="$(cd "$(dirname "$0")" && pwd)/golden/metrics_$name.json"
 
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
@@ -51,4 +56,8 @@ for t in 2 8; do
     fail=1
   }
 done
+if [ -f "$golden" ] && ! diff -u "$golden" metrics_1.json; then
+  echo "FAIL: metrics JSON differs from $golden" >&2
+  fail=1
+fi
 exit $fail
