@@ -6,9 +6,10 @@
 // DSL as a replacement for hand-coded bench pipelines: a scenario file is
 // not an approximation of the experiment, it IS the experiment.
 //
-// The left-hand side below inlines the per-mode cell of
-// bench/bench_failure_recovery.cc verbatim, for Clos; the right-hand side
-// compiles and runs the scenario file. Any divergence — a reordered random
+// The left-hand side below (bench_cell) inlines the per-mode cell of
+// bench/bench_failure_recovery.cc verbatim; the right-hand side compiles and
+// runs the scenario file — as written for Clos, and switched to a uniform
+// flat_tree topology for the local and global cells. Any divergence — a reordered random
 // draw, a different default — fails with exact values on both sides. Both
 // sides summarize FCTs through the one flattree::percentile.
 #include <cmath>
@@ -41,8 +42,16 @@ double extra(const ScenarioResult& r, const std::string& key) {
   return std::nan("");
 }
 
-TEST(ScenarioDiff, FailureRecoveryClosCellIsBitIdentical) {
-  // ---- left: bench_failure_recovery's Clos cell, inlined ----
+// Everything the left-hand side of a differential case compares.
+struct BenchCell {
+  bench::RunStats base;
+  bench::RunStats failed;
+  RepairPlan plan;
+  ScheduleRunStats sched;
+};
+
+// ---- left: bench_failure_recovery's per-mode cell, inlined ----
+BenchCell bench_cell(PodMode mode) {
   const ClosParams clos{8, 4, 4, 4, 8, 4, 16, 8};  // 256 servers, 2:1 edge
   FlatTreeParams params;
   params.clos = clos;
@@ -58,19 +67,20 @@ TEST(ScenarioDiff, FailureRecoveryClosCellIsBitIdentical) {
   Workload flows = permutation_traffic(clos.total_servers(), traffic_rng);
   for (Flow& f : flows) f.bytes = 200e6;
 
-  CompiledMode live = controller.compile_uniform(PodMode::kClos);
+  CompiledMode live = controller.compile_uniform(mode);
   const std::uint32_t column_width = clos.core_connectors_per_edge();
   const FailureSet columns =
       core_column_failure(live.graph(), 0, 3 * column_width);
 
+  BenchCell cell;
   FluidOptions fluid_opts;
   FluidSimulator baseline{live.graph(), mode_provider(live), fluid_opts};
-  const bench::RunStats base = bench::summarize(baseline.run(flows));
+  cell.base = bench::summarize(baseline.run(flows));
 
-  RepairPlan plan = controller.plan_repair(live, columns, RepairOptions{});
+  cell.plan = controller.plan_repair(live, columns, RepairOptions{});
 
-  CompiledMode pre = controller.compile_uniform(PodMode::kClos);
-  const Graph sim_graph = graph_union(pre.graph(), *plan.graph);
+  CompiledMode pre = controller.compile_uniform(mode);
+  const Graph sim_graph = graph_union(pre.graph(), *cell.plan.graph);
   FluidSimulator sim{sim_graph, mode_provider(pre), fluid_opts};
   FailureSchedule schedule;
   schedule.fail_at(0.05, columns);
@@ -78,9 +88,17 @@ TEST(ScenarioDiff, FailureRecoveryClosCellIsBitIdentical) {
   const RoutingRefresh refresh = [&](const Graph&) -> PathProvider {
     return mode_provider(live);
   };
-  ScheduleRunStats sched;
-  const bench::RunStats failed = bench::summarize(
-      sim.run_with_schedule(flows, schedule, plan.total_s(), refresh, &sched));
+  cell.failed = bench::summarize(sim.run_with_schedule(
+      flows, schedule, cell.plan.total_s(), refresh, &cell.sched));
+  return cell;
+}
+
+TEST(ScenarioDiff, FailureRecoveryClosCellIsBitIdentical) {
+  const BenchCell cell = bench_cell(PodMode::kClos);
+  const bench::RunStats& base = cell.base;
+  const bench::RunStats& failed = cell.failed;
+  const RepairPlan& plan = cell.plan;
+  const ScheduleRunStats& sched = cell.sched;
 
   // ---- right: the scenario file, through the DSL pipeline ----
   const ScenarioResult result = run_scenario(
@@ -117,6 +135,57 @@ TEST(ScenarioDiff, FailureRecoveryClosCellIsBitIdentical) {
   EXPECT_EQ(sched.recover_events, 1u);
   EXPECT_GT(plan.pairs_invalidated, 0u);
   EXPECT_GT(failed.worst_fct, base.worst_fct);
+}
+
+// The same cell for the flattened modes: the Clos scenario file switched to
+// a uniform flat_tree topology must reproduce the bench's local and global
+// cells bit for bit. Global mode is where plan_repair rewires converters to
+// rescue servers stranded on the dead cores, so the repaired graph differs
+// from a plain degrade and the union graph carries real rescue circuits.
+TEST(ScenarioDiff, FailureRecoveryFlatModeCellsAreBitIdentical) {
+  for (const PodMode mode : {PodMode::kLocal, PodMode::kGlobal}) {
+    SCOPED_TRACE(to_string(mode));
+    const BenchCell cell = bench_cell(mode);
+
+    Scenario spec = parse_scenario_file(std::string{SCENARIO_DIR} +
+                                        "/failure_recovery_clos.json");
+    spec.topology.kind = TopologyKind::kFlatTree;
+    spec.topology.pod_modes = {mode};
+    const ScenarioResult result = run_scenario(compile_scenario(spec));
+
+    EXPECT_EQ(result.aggregate.flows, cell.failed.total);
+    EXPECT_EQ(result.aggregate.completed, cell.failed.completed);
+    EXPECT_EQ(result.aggregate.worst_fct_s, cell.failed.worst_fct);
+    EXPECT_EQ(result.aggregate.p99_fct_s, cell.failed.p99_fct);
+
+    EXPECT_EQ(extra(result, "base_worst_fct_s"), cell.base.worst_fct);
+    EXPECT_EQ(extra(result, "base_p99_fct_s"), cell.base.p99_fct);
+    EXPECT_EQ(extra(result, "inflation"),
+              cell.failed.worst_fct / cell.base.worst_fct);
+    EXPECT_EQ(extra(result, "repair_lag_s"), cell.plan.total_s());
+    EXPECT_EQ(extra(result, "pairs_invalidated"),
+              static_cast<double>(cell.plan.pairs_invalidated));
+    EXPECT_EQ(extra(result, "pairs_retained"),
+              static_cast<double>(cell.plan.pairs_retained));
+
+    EXPECT_EQ(extra(result, "fail_events"),
+              static_cast<double>(cell.sched.fail_events));
+    EXPECT_EQ(extra(result, "recover_events"),
+              static_cast<double>(cell.sched.recover_events));
+    EXPECT_EQ(extra(result, "refreshes"),
+              static_cast<double>(cell.sched.refreshes));
+    EXPECT_EQ(extra(result, "reroutes"),
+              static_cast<double>(cell.sched.reroutes));
+    EXPECT_EQ(extra(result, "black_holed"),
+              static_cast<double>(cell.sched.black_holed));
+
+    EXPECT_EQ(cell.sched.fail_events, 1u);
+    EXPECT_GT(cell.plan.pairs_invalidated, 0u);
+    if (mode == PodMode::kGlobal) {
+      EXPECT_TRUE(cell.plan.used_converter_rewire);
+      EXPECT_GT(cell.plan.converters_changed, 0u);
+    }
+  }
 }
 
 // The scenario's declared topology (fat_tree k=8, servers_per_edge=8,
