@@ -677,8 +677,7 @@ void run_with_schedule(
       sim.apply_failure(degrade(base, active));
       continue;
     }
-    const Graph repaired =
-        options.planner ? options.planner(active) : degrade(base, active);
+    const Graph repaired = degrade(base, active);
     sim.apply_conversion(
         repaired,
         [&](std::uint32_t fi) -> std::vector<Path> {
@@ -686,7 +685,7 @@ void run_with_schedule(
           if (paths.empty()) return sim.flow_paths(fi);  // pair disconnected
           return paths;
         },
-        options.rule_blackout_s, options.scope);
+        /*blackout_s=*/0.0, ConversionScope::kChangedOnly);
   }
   sim.run_until(horizon_s);
 }

@@ -335,21 +335,14 @@ class PacketSim {
 // -- failure schedule driver -------------------------------------------------
 
 struct PacketScheduleOptions {
-  double repair_lag_s{0.2};     // failure event -> routing refresh delay
-  double rule_blackout_s{0.0};  // switch-table rewrite stall at each repair
-  ConversionScope scope{ConversionScope::kChangedOnly};
-  // Optional repair planner: maps the active failure set to the post-repair
-  // operating topology (e.g. Controller::plan_repair's converter-rewired
-  // graph). Null = pure rerouting on degrade(base, active). Link ids in the
-  // schedule always refer to `base`'s numbering; a planner that rewires must
-  // keep node ids stable (every FlatTree realization does).
-  std::function<Graph(const FailureSet& active)> planner;
+  double repair_lag_s{0.2};  // failure event -> routing refresh delay
 };
 
 // Drives `sim` through a failure schedule against the realized graph
 // `base`: at each event the data plane degrades (or recovers) immediately
 // via apply_failure(); repair_lag_s later the control plane installs
-// refreshed routes via apply_conversion(). `repath` receives each flow
+// refreshed routes on degrade(base, active) via apply_conversion(), with no
+// rule blackout and kChangedOnly scope. `repath` receives each flow
 // index and the post-repair topology and returns the flow's new subflow
 // paths — returning an empty set keeps the flow's current (possibly
 // black-holed) paths, the fate of a disconnected pair. Finally runs the
