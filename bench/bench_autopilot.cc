@@ -90,27 +90,6 @@ struct Outcome {
   double packet_bytes{0.0};
 };
 
-std::string mode_string(const ModeAssignment& assignment) {
-  std::string s;
-  for (PodMode m : assignment.pod_modes) {
-    s += m == PodMode::kClos ? 'C' : (m == PodMode::kLocal ? 'L' : 'G');
-  }
-  return s;
-}
-
-// The same epoch partition AutopilotLoop uses, so static and oracle arms
-// are served apples-to-apples with the closed loop.
-std::vector<Workload> bucketize(const Workload& flows, double duration_s) {
-  const auto epochs =
-      static_cast<std::size_t>(std::ceil(duration_s / kEpoch - 1e-12));
-  std::vector<Workload> bucket(epochs);
-  for (const Flow& f : flows) {
-    const auto e = static_cast<std::size_t>(f.start_s / kEpoch);
-    bucket[std::min(e, bucket.size() - 1)].push_back(f);
-  }
-  return bucket;
-}
-
 struct EpochStats {
   std::size_t completed{0};
   double fct_sum_s{0.0};
@@ -122,11 +101,7 @@ EpochStats serve_epoch(const CompiledMode& mode, const Workload& flows,
   if (flows.empty()) return stats;
   FluidOptions opts;
   opts.sink = sink;
-  FluidSimulator sim{mode.graph(),
-                     [&mode](NodeId src, NodeId dst, std::uint32_t) {
-                       return mode.paths().server_paths(src, dst);
-                     },
-                     opts};
+  FluidSimulator sim{mode.graph(), path_provider(mode), opts};
   for (const FluidFlowResult& r : sim.run(flows)) {
     if (!r.completed) continue;
     ++stats.completed;
@@ -178,14 +153,15 @@ Outcome run_autopilot(const Controller& controller, const Workload& flows,
       ++out.holds;
     }
   }
-  out.final_modes = mode_string(result.final_assignment);
+  out.final_modes = mode_letters(result.final_assignment);
 
   // Both simulators feed the estimator: replay the first conversion's
   // timeline through the packet simulator and fold its exported records
   // through the pair-telemetry path.
   if (!result.conversions.empty()) {
     const ExecutionReport& report = result.conversions.front();
-    const std::vector<Workload> bucket = bucketize(flows, duration_s);
+    const std::vector<Workload> bucket =
+        epoch_buckets(flows, kEpoch, duration_s);
     Workload epoch_flows;
     for (const EpochRecord& rec : result.epochs) {
       if (rec.conversion_executed) {
@@ -217,13 +193,13 @@ Outcome run_static(const Controller& controller, const Workload& flows,
                    const obs::ObsSink& sink) {
   const CompiledMode compiled = controller.compile_uniform(mode);
   Outcome out;
-  for (const Workload& epoch : bucketize(flows, duration_s)) {
+  for (const Workload& epoch : epoch_buckets(flows, kEpoch, duration_s)) {
     out.flows += epoch.size();
     const EpochStats stats = serve_epoch(compiled, epoch, sink);
     out.completed += stats.completed;
     out.fct_sum_s += stats.fct_sum_s;
   }
-  out.final_modes = mode_string(compiled.assignment());
+  out.final_modes = mode_letters(compiled.assignment());
   return out;
 }
 
@@ -234,7 +210,7 @@ Outcome run_oracle(const Controller& controller, const Workload& flows,
                                  controller.compile_uniform(PodMode::kGlobal)};
   Outcome out;
   std::size_t last_best = 0;
-  for (const Workload& epoch : bucketize(flows, duration_s)) {
+  for (const Workload& epoch : epoch_buckets(flows, kEpoch, duration_s)) {
     out.flows += epoch.size();
     EpochStats best;
     bool first = true;
@@ -252,7 +228,7 @@ Outcome run_oracle(const Controller& controller, const Workload& flows,
     out.completed += best.completed;
     out.fct_sum_s += best.fct_sum_s;
   }
-  out.final_modes = mode_string(modes[last_best].assignment());
+  out.final_modes = mode_letters(modes[last_best].assignment());
   return out;
 }
 
@@ -260,10 +236,7 @@ void run(int argc, char** argv) {
   exec::ExperimentRunner runner{
       bench::parse_runner_options("autopilot", argc, argv, 41)};
 
-  FlatTreeParams params;
-  params.clos = ClosParams::testbed();
-  params.six_port_per_column = 1;
-  params.four_port_per_column = 1;
+  const FlatTreeParams params = bench::testbed_params();
   ControllerOptions ctl_opts;
   ctl_opts.count_rules = true;  // the policy prices real rule churn
   // The staged executor pushes every tracked pair's route rules through the

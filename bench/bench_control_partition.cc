@@ -74,41 +74,6 @@ std::vector<std::pair<NodeId, NodeId>> make_pairs(const Graph& g) {
   return pairs;
 }
 
-// Up to `want` fabric links inside `pod` that installed routes of the
-// tracked pairs cross — failing one is guaranteed to hit live intra-island
-// traffic that the Pod's own controller can repair around.
-std::vector<LinkId> pod_route_links(
-    const CompiledMode& mode,
-    const std::vector<std::pair<NodeId, NodeId>>& pairs, PodId pod,
-    std::size_t want) {
-  const Graph& g = mode.graph();
-  std::vector<bool> taken(g.link_count(), false);
-  std::vector<LinkId> picked;
-  for (const auto& [src, dst] : pairs) {
-    if (picked.size() >= want) break;
-    if (g.node(src).pod != pod || g.node(dst).pod != pod) continue;
-    for (const Path& path : mode.paths().server_paths(src, dst)) {
-      if (picked.size() >= want) break;
-      for (std::size_t h = 1; h + 2 < path.size(); ++h) {
-        const NodeId a = path[h];
-        const NodeId b = path[h + 1];
-        if (g.node(a).pod != pod || g.node(b).pod != pod) continue;
-        for (std::uint32_t i = 0; i < g.link_count(); ++i) {
-          if (taken[i]) continue;
-          const Link& l = g.link(LinkId{i});
-          if ((l.a == a && l.b == b) || (l.a == b && l.b == a)) {
-            taken[i] = true;
-            picked.push_back(LinkId{i});
-            break;
-          }
-        }
-        if (picked.size() >= want) break;
-      }
-    }
-  }
-  return picked;
-}
-
 struct Cell {
   const char* name;
   bool partitions{false};
@@ -125,10 +90,7 @@ void run(int argc, char** argv) {
   exec::ExperimentRunner runner{
       bench::parse_runner_options("control_partition", argc, argv, 47)};
 
-  FlatTreeParams params;
-  params.clos = ClosParams::testbed();
-  params.six_port_per_column = 1;
-  params.four_port_per_column = 1;
+  const FlatTreeParams params = bench::testbed_params();
   ControllerOptions ctl_opts;
   ctl_opts.count_rules = false;
   // §4.3's parallel state distribution: a set of controllers each managing
@@ -158,7 +120,7 @@ void run(int argc, char** argv) {
       make_pairs(cal.graph());
   FailureSchedule storm;
   for (std::uint32_t pod : {0u, 1u}) {
-    for (LinkId l : pod_route_links(cal, cal_pairs, PodId{pod}, 2)) {
+    for (LinkId l : bench::route_links(cal, cal_pairs, 2, PodId{pod})) {
       storm.fail_at(1.5, FailureSet{{l}, {}});
       storm.recover_at(5.5, FailureSet{{l}, {}});
     }

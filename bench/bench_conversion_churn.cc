@@ -28,32 +28,17 @@
 #include "control/conversion_exec.h"
 #include "control/controller.h"
 #include "core/flat_tree.h"
-#include "sim/packet.h"
 #include "traffic/patterns.h"
 
 namespace flattree {
 namespace {
-
-// Everything one (staged, loss) cell produces.
-struct CellOutcome {
-  ExecutionReport report;
-  bench::RunStats base;
-  bench::RunStats churn;
-  ScheduleRunStats sched;
-  std::uint64_t packet_bytes_acked{0};
-  std::size_t packet_completed{0};
-  std::size_t packet_flows{0};
-};
 
 void run(int argc, char** argv) {
   exec::ExperimentRunner runner{
       bench::parse_runner_options("conversion_churn", argc, argv, 23)};
 
   // The paper's 4-pod testbed layout: 24 servers, every pod convertible.
-  FlatTreeParams params;
-  params.clos = ClosParams::testbed();
-  params.six_port_per_column = 1;
-  params.four_port_per_column = 1;
+  const FlatTreeParams params = bench::testbed_params();
   ControllerOptions opts;
   opts.count_rules = false;  // the executor prices rules from route footprints
   opts.sink = runner.obs();
@@ -88,74 +73,23 @@ void run(int argc, char** argv) {
   // Cells share only the read-only controller: each compiles its own
   // modes and runs its own executor and simulators, so they fan across
   // the pool as independent replicates.
-  const std::vector<CellOutcome> outcomes = runner.timed_stage(
+  const std::vector<bench::ConversionCell> outcomes = runner.timed_stage(
       "conversion_churn cells", [&] {
         return bench::parallel_replicates(
             runner.pool(), kCells, [&](std::size_t cell) {
-              const bool staged = stagings[cell / 3];
-              const double loss = losses[cell % 3];
-              const CompiledMode from =
-                  controller.compile_uniform(PodMode::kClos);
-              const CompiledMode to =
-                  controller.compile_uniform(PodMode::kGlobal);
-
-              // Track exactly the pairs the workload uses.
-              const auto& servers = from.graph().servers();
-              std::vector<std::pair<NodeId, NodeId>> pairs;
-              pairs.reserve(flows.size());
-              for (const Flow& f : flows) {
-                pairs.emplace_back(servers[f.src], servers[f.dst]);
-              }
-
               ConversionExecOptions exec_opts;
-              exec_opts.staged = staged;
-              exec_opts.channel.drop_probability = loss;
+              exec_opts.staged = stagings[cell / 3];
+              exec_opts.channel.drop_probability = losses[cell % 3];
               exec_opts.seed = runner.seed();
               exec_opts.sink = runner.obs();
-              const ConversionExecutor executor{controller, exec_opts};
-
-              CellOutcome out;
-              out.report = executor.execute(from, to, pairs,
-                                            ConversionFaults{}, t0);
-
-              // Undisturbed baseline on the outgoing mode vs the same
-              // workload replayed through every transient topology.
-              FluidOptions fluid_opts;
-              fluid_opts.sink = runner.obs();
-              FluidSimulator baseline{
-                  from.graph(),
-                  [&](NodeId src, NodeId dst, std::uint32_t) {
-                    return from.paths().server_paths(src, dst);
-                  },
-                  fluid_opts};
-              out.base = bench::summarize(baseline.run(flows));
-              out.churn = bench::summarize(run_fluid_with_conversion(
-                  out.report, flows, fluid_opts, &out.sched));
-
-              // Packet-level spot check: a few small flows ride the same
-              // timeline; goodput shows whether the churn window ever
-              // swallowed packets.
-              PacketSim sim;
-              sim.set_network(*out.report.timeline.front().graph);
-              out.packet_flows = 8;
-              for (std::size_t i = 0; i < out.packet_flows; ++i) {
-                const Flow& f = flows[i];
-                sim.add_flow(f.src, f.dst, 2e6, 0.0,
-                             conversion_paths_for(out.report, f));
-              }
-              drive_packet_sim(sim, out.report, flows,
-                               out.report.finish_s + 5.0);
-              for (std::size_t i = 0; i < out.packet_flows; ++i) {
-                const auto fi = static_cast<std::uint32_t>(i);
-                out.packet_bytes_acked += sim.flow_bytes_acked(fi);
-                if (sim.flow_completed(fi)) ++out.packet_completed;
-              }
-              return out;
+              return bench::run_conversion_cell(controller, flows, exec_opts,
+                                                nullptr, ConversionFaults{},
+                                                t0);
             });
       });
 
   for (std::size_t cell = 0; cell < kCells; ++cell) {
-    const CellOutcome& out = outcomes[cell];
+    const bench::ConversionCell& out = outcomes[cell];
     const bool staged = stagings[cell / 3];
     const double loss = losses[cell % 3];
     const ExecutionReport& rep = out.report;

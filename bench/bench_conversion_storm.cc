@@ -36,42 +36,10 @@
 #include "control/controller.h"
 #include "core/flat_tree.h"
 #include "net/failures.h"
-#include "sim/packet.h"
 #include "traffic/patterns.h"
 
 namespace flattree {
 namespace {
-
-// Distinct fabric links that installed routes of the tracked pairs cross —
-// flapping one is guaranteed to hit live traffic.
-std::vector<LinkId> route_fabric_links(
-    const CompiledMode& mode,
-    const std::vector<std::pair<NodeId, NodeId>>& pairs, std::size_t want) {
-  const Graph& g = mode.graph();
-  std::vector<bool> taken(g.link_count(), false);
-  std::vector<LinkId> picked;
-  for (const auto& [src, dst] : pairs) {
-    if (picked.size() >= want) break;
-    for (const Path& path : mode.paths().server_paths(src, dst)) {
-      if (picked.size() >= want) break;
-      for (std::size_t h = 1; h + 2 < path.size(); ++h) {
-        const NodeId a = path[h];
-        const NodeId b = path[h + 1];
-        for (std::uint32_t i = 0; i < g.link_count(); ++i) {
-          if (taken[i]) continue;
-          const Link& l = g.link(LinkId{i});
-          if ((l.a == a && l.b == b) || (l.a == b && l.b == a)) {
-            taken[i] = true;
-            picked.push_back(LinkId{i});
-            break;
-          }
-        }
-        if (picked.size() >= want) break;
-      }
-    }
-  }
-  return picked;
-}
 
 // One flap per link: fails staggered across [t0, t0 + 0.55 * window], each
 // outage lasting six gaps (adjacent outages overlap). Long outages matter:
@@ -122,24 +90,11 @@ struct Scenario {
   bool kill_primary{false};
 };
 
-struct CellOutcome {
-  ExecutionReport report;
-  bench::RunStats base;
-  bench::RunStats churn;
-  bool terminal_ok{false};
-  std::uint64_t packet_bytes_acked{0};
-  std::size_t packet_completed{0};
-  std::size_t packet_flows{0};
-};
-
 void run(int argc, char** argv) {
   exec::ExperimentRunner runner{
       bench::parse_runner_options("conversion_storm", argc, argv, 31)};
 
-  FlatTreeParams params;
-  params.clos = ClosParams::testbed();
-  params.six_port_per_column = 1;
-  params.four_port_per_column = 1;
+  const FlatTreeParams params = bench::testbed_params();
   ControllerOptions opts;
   opts.count_rules = false;
   opts.sink = runner.obs();
@@ -168,12 +123,8 @@ void run(int argc, char** argv) {
   // protocols; the OCS fault targets each protocol's own last pass.
   const CompiledMode cal_from = controller.compile_uniform(PodMode::kClos);
   const CompiledMode cal_to = controller.compile_uniform(PodMode::kGlobal);
-  const auto& cal_servers = cal_from.graph().servers();
-  std::vector<std::pair<NodeId, NodeId>> cal_pairs;
-  cal_pairs.reserve(flows.size());
-  for (const Flow& f : flows) {
-    cal_pairs.emplace_back(cal_servers[f.src], cal_servers[f.dst]);
-  }
+  const std::vector<std::pair<NodeId, NodeId>> cal_pairs =
+      workload_pairs(cal_from.graph(), flows);
   double window[2] = {0.0, 0.0};
   std::uint32_t last_partition[2] = {0, 0};
   for (std::size_t pi = 0; pi < 2; ++pi) {
@@ -195,7 +146,7 @@ void run(int argc, char** argv) {
   // shorter calm run so every recovery folds before either finishes; the
   // controller dies at 45% of each protocol's own calm duration.
   const std::vector<LinkId> victims =
-      route_fabric_links(cal_from, cal_pairs, 12);
+      bench::route_links(cal_from, cal_pairs, 12);
   const FailureSchedule storm =
       make_flap_storm(victims, t0, std::min(window[0], window[1]));
   const double kill_at[2] = {t0 + 0.45 * window[0], t0 + 0.45 * window[1]};
@@ -219,30 +170,18 @@ void run(int argc, char** argv) {
                     "terminal=ckpt"},
                    12);
 
-  const std::vector<CellOutcome> outcomes = runner.timed_stage(
+  const std::vector<bench::ConversionCell> outcomes = runner.timed_stage(
       "conversion_storm cells", [&] {
         return bench::parallel_replicates(
             runner.pool(), kCells, [&](std::size_t cell) {
               const bool tolerant = protocols[cell / kScenarios];
               const Scenario& sc = scenarios[cell % kScenarios];
-              const CompiledMode from =
-                  controller.compile_uniform(PodMode::kClos);
-              const CompiledMode to =
-                  controller.compile_uniform(PodMode::kGlobal);
-              const auto& servers = from.graph().servers();
-              std::vector<std::pair<NodeId, NodeId>> pairs;
-              pairs.reserve(flows.size());
-              for (const Flow& f : flows) {
-                pairs.emplace_back(servers[f.src], servers[f.dst]);
-              }
-
               ConversionExecOptions exec_opts;
               exec_opts.stage_checkpoints = tolerant;
               exec_opts.live_replanning = tolerant;
               exec_opts.channel.drop_probability = sc.loss;
               exec_opts.seed = runner.seed();
               exec_opts.sink = runner.obs();
-              const ConversionExecutor executor{controller, exec_opts};
 
               ConversionFaults faults;
               if (sc.ocs_fault) {
@@ -251,51 +190,21 @@ void run(int argc, char** argv) {
               if (sc.kill_primary) {
                 faults.kill_primary_at_s = kill_at[tolerant ? 0 : 1];
               }
-
-              CellOutcome out;
-              out.report = executor.execute_under_storm(
-                  from, to, pairs, sc.storm ? storm : FailureSchedule{},
-                  faults, t0);
-              out.terminal_ok = terminal_is_checkpoint(controller, out.report);
-
-              FluidOptions fluid_opts;
-              fluid_opts.sink = runner.obs();
-              FluidSimulator baseline{
-                  from.graph(),
-                  [&](NodeId src, NodeId dst, std::uint32_t) {
-                    return from.paths().server_paths(src, dst);
-                  },
-                  fluid_opts};
-              out.base = bench::summarize(baseline.run(flows));
-              out.churn = bench::summarize(
-                  run_fluid_with_conversion(out.report, flows, fluid_opts));
-
-              PacketSim sim;
-              sim.set_network(*out.report.timeline.front().graph);
-              out.packet_flows = 8;
-              for (std::size_t i = 0; i < out.packet_flows; ++i) {
-                const Flow& f = flows[i];
-                sim.add_flow(f.src, f.dst, 2e6, 0.0,
-                             conversion_paths_for(out.report, f));
-              }
-              drive_packet_sim(sim, out.report, flows,
-                               out.report.finish_s + 5.0);
-              for (std::size_t i = 0; i < out.packet_flows; ++i) {
-                const auto fi = static_cast<std::uint32_t>(i);
-                out.packet_bytes_acked += sim.flow_bytes_acked(fi);
-                if (sim.flow_completed(fi)) ++out.packet_completed;
-              }
-              return out;
+              const FailureSchedule calm;
+              return bench::run_conversion_cell(controller, flows, exec_opts,
+                                                sc.storm ? &storm : &calm,
+                                                faults, t0);
             });
       });
 
   double tolerant_storm_blackhole = 0.0;
   double baseline_storm_blackhole = 0.0;
   for (std::size_t cell = 0; cell < kCells; ++cell) {
-    const CellOutcome& out = outcomes[cell];
+    const bench::ConversionCell& out = outcomes[cell];
     const bool tolerant = protocols[cell / kScenarios];
     const Scenario& sc = scenarios[cell % kScenarios];
     const ExecutionReport& rep = out.report;
+    const bool terminal_ok = terminal_is_checkpoint(controller, rep);
     if (sc.storm) {
       (tolerant ? tolerant_storm_blackhole : baseline_storm_blackhole) +=
           rep.total_blackhole_s;
@@ -309,7 +218,7 @@ void run(int argc, char** argv) {
          bench::fmt(out.churn.worst_fct / out.base.worst_fct, 2) + "x",
          std::to_string(out.churn.completed) + "/" +
              std::to_string(out.churn.total),
-         out.terminal_ok ? "yes" : "NO"},
+         terminal_ok ? "yes" : "NO"},
         12);
     exec::ResultRow row;
     row.set("protocol", tolerant ? "storm-tolerant" : "full-rollback")
@@ -319,7 +228,7 @@ void run(int argc, char** argv) {
         .set("stages_total", rep.stages_total)
         .set("stages_committed", rep.stages_committed)
         .set("checkpoints", rep.checkpoints.size())
-        .set("terminal_is_checkpoint", out.terminal_ok)
+        .set("terminal_is_checkpoint", terminal_ok)
         .set("total_blackhole_s", rep.total_blackhole_s)
         .set("max_pair_blackhole_s", rep.max_pair_blackhole_s)
         .set("duration_s", rep.finish_s - rep.start_s)

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench/util.h"
+#include "control/conversion_exec.h"
 #include "control/controller.h"
 #include "core/flat_tree.h"
 #include "net/failures.h"
@@ -36,23 +37,6 @@
 
 namespace flattree {
 namespace {
-
-PathProvider mode_provider(CompiledMode& mode) {
-  return [&mode](NodeId src, NodeId dst, std::uint32_t) {
-    return mode.paths().server_paths(src, dst);
-  };
-}
-
-// Everything one mode's pipeline produces: baseline sim, repair plan,
-// scheduled (failure-injected) sim. One exec cell per mode.
-struct ModeOutcome {
-  bench::RunStats base;
-  bench::RunStats failed;
-  double repair_lag_s{0.0};
-  std::size_t pairs_invalidated{0};
-  std::size_t pairs_retained{0};
-  ScheduleRunStats sched;
-};
 
 void run(int argc, char** argv) {
   // Default seed = the permutation-workload seed the seed-state bench
@@ -64,7 +48,6 @@ void run(int argc, char** argv) {
   params.clos = clos;
   params.six_port_per_column = 2;
   params.four_port_per_column = 2;
-  const FlatTree tree{params};
 
   // Rule updates fan out over distributed controllers (§4.3: "a set of
   // controllers each managing a number of switches") so the repair lag
@@ -84,8 +67,13 @@ void run(int argc, char** argv) {
   // t=0.05 s and stay down past the run. Node ids are mode-invariant, so
   // the identical schedule applies to every mode.
   const std::uint32_t column_width = clos.core_connectors_per_edge();
-  const double t_fail = 0.05;
-  const double t_recover = 60.0;
+  const FailureSet columns = core_column_failure(
+      controller.tree().realize_uniform(PodMode::kClos), 0, 3 * column_width);
+  FailureSchedule schedule;
+  schedule.fail_at(0.05, columns);
+  schedule.recover_at(60.0, columns);
+  FluidOptions fluid_opts;
+  fluid_opts.sink = runner.obs();
 
   bench::print_header(
       "Extension: FCT inflation under live core-column failure + recovery",
@@ -100,92 +88,57 @@ void run(int argc, char** argv) {
 
   // The three modes share nothing mutable (each cell compiles its own
   // CompiledModes and runs its own simulators), so they fan across the
-  // pool as multi-replicate fluid-sim runs.
+  // pool as multi-replicate fluid-sim runs. Each cell: a failure-free
+  // baseline that warms the path cache with exactly the pairs the workload
+  // uses (so the repair prices a realistic blast radius), the controller's
+  // incremental repair (converter rewire rescues stranded servers in global
+  // mode only — the other modes attach no servers to cores), then the
+  // scheduled run on the union graph, healthy routes until the refresh
+  // installs the repaired cache one priced repair lag after the failure.
   const PodMode modes[] = {PodMode::kClos, PodMode::kLocal, PodMode::kGlobal};
-  const std::vector<ModeOutcome> outcomes = runner.timed_stage(
+  const std::vector<RepairRun> runs = runner.timed_stage(
       "failure_recovery modes", [&] {
         return bench::parallel_replicates(
             runner.pool(), 3, [&](std::size_t cell) {
-              const PodMode mode = modes[cell];
-              CompiledMode live = controller.compile_uniform(mode);
-              const FailureSet columns = core_column_failure(
-                  live.graph(), 0, 3 * column_width);
-
-              // Failure-free baseline; warms the path cache with exactly
-              // the pairs the workload uses, so the repair below prices a
-              // realistic blast radius.
-              FluidOptions fluid_opts;
-              fluid_opts.sink = runner.obs();
-              FluidSimulator baseline{live.graph(), mode_provider(live),
-                                      fluid_opts};
-              ModeOutcome out;
-              out.base = bench::summarize(baseline.run(flows));
-
-              // The controller's incremental repair: rescue stranded
-              // servers by converter rewire (global mode only — the other
-              // modes attach no servers to cores), evict only the broken
-              // pairs, re-solve them on the repaired topology, price the
-              // rule delta.
-              RepairPlan plan =
-                  controller.plan_repair(live, columns, RepairOptions{});
-
-              // The scheduled run: healthy routes until the failure
-              // refresh installs the repaired cache. The union graph
-              // carries the rescue circuits, inert until the repaired
-              // paths route onto them.
-              // The union graph carries the rescue circuits of the repair:
-              // present from the start but unused (and therefore inert under
-              // max-min filling) until the repaired paths route onto them.
-              CompiledMode pre = controller.compile_uniform(mode);
-              const Graph sim_graph = graph_union(pre.graph(), *plan.graph);
-              FluidSimulator sim{sim_graph, mode_provider(pre), fluid_opts};
-              FailureSchedule schedule;
-              schedule.fail_at(t_fail, columns);
-              schedule.recover_at(t_recover, columns);
-              const RoutingRefresh refresh =
-                  [&](const Graph&) -> PathProvider {
-                return mode_provider(live);
-              };
-              out.failed = bench::summarize(sim.run_with_schedule(
-                  flows, schedule, plan.total_s(), refresh, &out.sched));
-              out.repair_lag_s = plan.total_s();
-              out.pairs_invalidated = plan.pairs_invalidated;
-              out.pairs_retained = plan.pairs_retained;
-              return out;
+              return run_fluid_with_repair(
+                  controller, ModeAssignment::uniform(clos.pods, modes[cell]),
+                  flows, schedule, -1.0, fluid_opts);
             });
       });
 
   for (std::size_t cell = 0; cell < 3; ++cell) {
-    const ModeOutcome& out = outcomes[cell];
+    const RepairRun& run = runs[cell];
+    const bench::RunStats base = bench::summarize(run.base);
+    const bench::RunStats failed = bench::summarize(run.failed);
     const PodMode mode = modes[cell];
     bench::print_row(
-        {to_string(mode), bench::fmt(out.base.worst_fct, 3),
-         bench::fmt(out.failed.worst_fct, 3),
-         bench::fmt(out.failed.worst_fct / out.base.worst_fct, 2) + "x",
-         bench::fmt(out.repair_lag_s, 3),
-         std::to_string(out.pairs_invalidated),
-         std::to_string(out.pairs_retained),
-         std::to_string(out.sched.reroutes),
-         std::to_string(out.sched.black_holed)},
+        {to_string(mode), bench::fmt(base.worst_fct, 3),
+         bench::fmt(failed.worst_fct, 3),
+         bench::fmt(failed.worst_fct / base.worst_fct, 2) + "x",
+         bench::fmt(run.repair_lag_s, 3),
+         std::to_string(run.plan.pairs_invalidated),
+         std::to_string(run.plan.pairs_retained),
+         std::to_string(run.sched.reroutes),
+         std::to_string(run.sched.black_holed)},
         11);
-    if (out.failed.completed != out.failed.total) {
+    if (failed.completed != failed.total) {
       std::printf("  (%s: %zu/%zu flows completed)\n", to_string(mode),
-                  out.failed.completed, out.failed.total);
+                  failed.completed, failed.total);
     }
     exec::ResultRow row;
     row.set("mode", to_string(mode))
-        .set("base_worst_fct_s", out.base.worst_fct)
-        .set("base_p99_fct_s", out.base.p99_fct)
-        .set("fail_worst_fct_s", out.failed.worst_fct)
-        .set("fail_p99_fct_s", out.failed.p99_fct)
-        .set("inflation", out.failed.worst_fct / out.base.worst_fct)
-        .set("repair_lag_s", out.repair_lag_s)
-        .set("pairs_invalidated", out.pairs_invalidated)
-        .set("pairs_retained", out.pairs_retained)
-        .set("reroutes", out.sched.reroutes)
-        .set("black_holed", out.sched.black_holed)
-        .set("completed", out.failed.completed)
-        .set("total_flows", out.failed.total);
+        .set("base_worst_fct_s", base.worst_fct)
+        .set("base_p99_fct_s", base.p99_fct)
+        .set("fail_worst_fct_s", failed.worst_fct)
+        .set("fail_p99_fct_s", failed.p99_fct)
+        .set("inflation", failed.worst_fct / base.worst_fct)
+        .set("repair_lag_s", run.repair_lag_s)
+        .set("pairs_invalidated", run.plan.pairs_invalidated)
+        .set("pairs_retained", run.plan.pairs_retained)
+        .set("reroutes", run.sched.reroutes)
+        .set("black_holed", run.sched.black_holed)
+        .set("completed", failed.completed)
+        .set("total_flows", failed.total);
     runner.add_row(std::move(row));
   }
 

@@ -23,11 +23,8 @@ namespace {
 
 void run(exec::RunnerOptions runner_options) {
   exec::ExperimentRunner runner{std::move(runner_options)};
-  FlatTreeParams params;
-  params.clos = ClosParams::testbed();
+  FlatTreeParams params = bench::testbed_params();
   params.clos.link_bps = 1e9;  // scaled from 10G (see header note)
-  params.six_port_per_column = 1;
-  params.four_port_per_column = 1;
   ControllerOptions options;
   options.k_global = options.k_local = options.k_clos = 4;
   const Controller ctl{FlatTree{params}, options};

@@ -45,10 +45,7 @@ AppResult run_app(const Graph& g, const Workload& flows, std::uint32_t k) {
 }
 
 void run() {
-  FlatTreeParams params;
-  params.clos = ClosParams::testbed();
-  params.six_port_per_column = 1;
-  params.four_port_per_column = 1;
+  const FlatTreeParams params = bench::testbed_params();
   const FlatTree tree{params};
 
   BroadcastParams bparams;

@@ -81,11 +81,8 @@ RunResult run_conversion(const Controller& ctl, bool gradual) {
 }
 
 void run() {
-  FlatTreeParams params;
-  params.clos = ClosParams::testbed();
+  FlatTreeParams params = bench::testbed_params();
   params.clos.link_bps = 1e9;
-  params.six_port_per_column = 1;
-  params.four_port_per_column = 1;
   ControllerOptions options;
   options.k_global = options.k_local = options.k_clos = 4;
   const Controller ctl{FlatTree{params}, options};

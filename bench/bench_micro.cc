@@ -82,11 +82,8 @@ void BM_FluidTraceFct(benchmark::State& state) {
 BENCHMARK(BM_FluidTraceFct)->Unit(benchmark::kMillisecond);
 
 void BM_PacketSimEventRate(benchmark::State& state) {
-  FlatTreeParams params;
-  params.clos = ClosParams::testbed();
+  FlatTreeParams params = bench::testbed_params();
   params.clos.link_bps = 1e9;
-  params.six_port_per_column = 1;
-  params.four_port_per_column = 1;
   const FlatTree tree{params};
   const Graph g = tree.realize_uniform(PodMode::kGlobal);
   for (auto _ : state) {
@@ -106,10 +103,7 @@ void BM_PacketSimEventRate(benchmark::State& state) {
 BENCHMARK(BM_PacketSimEventRate)->Unit(benchmark::kMillisecond);
 
 void BM_ControllerCompile(benchmark::State& state) {
-  FlatTreeParams params;
-  params.clos = ClosParams::testbed();
-  params.six_port_per_column = 1;
-  params.four_port_per_column = 1;
+  const FlatTreeParams params = bench::testbed_params();
   ControllerOptions options;
   options.k_global = 4;
   const Controller ctl{FlatTree{params}, options};

@@ -47,11 +47,8 @@ Workload make_workload(const ClosParams& clos) {
 }
 
 void run() {
-  FlatTreeParams params;
-  params.clos = ClosParams::testbed();
+  FlatTreeParams params = bench::testbed_params();
   params.clos.link_bps = 200e6;  // scaled links keep the packet run short
-  params.six_port_per_column = 1;
-  params.four_port_per_column = 1;
   const FlatTree tree{params};
   const Workload flows = make_workload(params.clos);
 

@@ -56,10 +56,7 @@ void run() {
                       "per-switch OpenFlow rule counts by aggregation level");
 
   // Testbed, all three modes (paper §5.3: max 242 / 180 / 76 with k=4).
-  FlatTreeParams params;
-  params.clos = ClosParams::testbed();
-  params.six_port_per_column = 1;
-  params.four_port_per_column = 1;
+  const FlatTreeParams params = bench::testbed_params();
   const FlatTree tree{params};
   report("testbed global mode", tree.realize_uniform(PodMode::kGlobal), 4, 1);
   report("testbed local mode", tree.realize_uniform(PodMode::kLocal), 4, 1);

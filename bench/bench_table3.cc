@@ -18,10 +18,7 @@ namespace flattree {
 namespace {
 
 void run() {
-  FlatTreeParams params;
-  params.clos = ClosParams::testbed();
-  params.six_port_per_column = 1;
-  params.four_port_per_column = 1;
+  const FlatTreeParams params = bench::testbed_params();
   ControllerOptions options;
   options.k_global = options.k_local = options.k_clos = 4;
   const Controller ctl{FlatTree{params}, options};

@@ -16,12 +16,16 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "control/conversion_exec.h"
+#include "control/controller.h"
+#include "core/flat_tree.h"
 #include "exec/parallel.h"
 #include "exec/pool.h"
 #include "exec/results.h"
@@ -36,6 +40,7 @@
 #include "routing/ecmp.h"
 #include "routing/ksp.h"
 #include "sim/fluid.h"
+#include "sim/packet.h"
 #include "traffic/flow.h"
 
 namespace flattree::bench {
@@ -306,6 +311,108 @@ inline RunStats summarize(const std::vector<FluidFlowResult>& results) {
   for (double f : fcts) stats.worst_fct = std::max(stats.worst_fct, f);
   stats.p99_fct = percentile(fcts, 99.0);
   return stats;
+}
+
+// The paper's testbed flat-tree (Figure 2): 4 Pods, 24 servers, one 6-port
+// and one 4-port converter per column.
+inline FlatTreeParams testbed_params() {
+  FlatTreeParams params;
+  params.clos = ClosParams::testbed();
+  params.six_port_per_column = 1;
+  params.four_port_per_column = 1;
+  return params;
+}
+
+// One live-conversion cell: every Pod converts Clos -> global at `t0`
+// while `flows` run. The executor (exec_opts; `storm` null = a calm
+// fabric, else execute_under_storm) tracks the workload's pairs; the flows
+// run once undisturbed on the outgoing mode and once through every
+// transient topology of the execution, and a packet-level spot check (the
+// first 8 flows, 2 MB each) rides the same timeline. The fluid runs share
+// exec_opts.sink.
+struct ConversionCell {
+  ExecutionReport report;
+  RunStats base;
+  RunStats churn;
+  ScheduleRunStats sched;
+  std::uint64_t packet_bytes_acked{0};
+  std::size_t packet_completed{0};
+  std::size_t packet_flows{8};
+};
+
+inline ConversionCell run_conversion_cell(
+    const Controller& controller, const Workload& flows,
+    const ConversionExecOptions& exec_opts, const FailureSchedule* storm,
+    const ConversionFaults& faults, double t0) {
+  const CompiledMode from = controller.compile_uniform(PodMode::kClos);
+  const CompiledMode to = controller.compile_uniform(PodMode::kGlobal);
+  const std::vector<std::pair<NodeId, NodeId>> pairs =
+      workload_pairs(from.graph(), flows);
+  const ConversionExecutor executor{controller, exec_opts};
+  ConversionCell out;
+  out.report =
+      storm == nullptr
+          ? executor.execute(from, to, pairs, faults, t0)
+          : executor.execute_under_storm(from, to, pairs, *storm, faults, t0);
+
+  FluidOptions fluid_opts;
+  fluid_opts.sink = exec_opts.sink;
+  FluidSimulator baseline{from.graph(), path_provider(from), fluid_opts};
+  out.base = summarize(baseline.run(flows));
+  out.churn = summarize(
+      run_fluid_with_conversion(out.report, flows, fluid_opts, &out.sched));
+
+  PacketSim sim;
+  sim.set_network(*out.report.timeline.front().graph);
+  for (std::size_t i = 0; i < out.packet_flows; ++i) {
+    const Flow& f = flows[i];
+    sim.add_flow(f.src, f.dst, 2e6, 0.0, conversion_paths_for(out.report, f));
+  }
+  drive_packet_sim(sim, out.report, flows, out.report.finish_s + 5.0);
+  for (std::size_t i = 0; i < out.packet_flows; ++i) {
+    const auto fi = static_cast<std::uint32_t>(i);
+    out.packet_bytes_acked += sim.flow_bytes_acked(fi);
+    if (sim.flow_completed(fi)) ++out.packet_completed;
+  }
+  return out;
+}
+
+// Up to `want` distinct fabric links that installed routes of the tracked
+// pairs cross — failing one is guaranteed to hit live traffic. With `pod`,
+// only pairs with both ends in that Pod and hops inside it count.
+inline std::vector<LinkId> route_links(
+    const CompiledMode& mode,
+    const std::vector<std::pair<NodeId, NodeId>>& pairs, std::size_t want,
+    std::optional<PodId> pod = std::nullopt) {
+  const Graph& g = mode.graph();
+  const auto outside = [&](NodeId a, NodeId b) {
+    return pod && (g.node(a).pod != *pod || g.node(b).pod != *pod);
+  };
+  std::vector<bool> taken(g.link_count(), false);
+  std::vector<LinkId> picked;
+  for (const auto& [src, dst] : pairs) {
+    if (picked.size() >= want) break;
+    if (outside(src, dst)) continue;
+    for (const Path& path : mode.paths().server_paths(src, dst)) {
+      if (picked.size() >= want) break;
+      for (std::size_t h = 1; h + 2 < path.size(); ++h) {
+        const NodeId a = path[h];
+        const NodeId b = path[h + 1];
+        if (outside(a, b)) continue;
+        for (std::uint32_t i = 0; i < g.link_count(); ++i) {
+          if (taken[i]) continue;
+          const Link& l = g.link(LinkId{i});
+          if ((l.a == a && l.b == b) || (l.a == b && l.b == a)) {
+            taken[i] = true;
+            picked.push_back(LinkId{i});
+            break;
+          }
+        }
+        if (picked.size() >= want) break;
+      }
+    }
+  }
+  return picked;
 }
 
 inline void print_header(const std::string& title, const std::string& note) {

@@ -22,23 +22,24 @@ void AutopilotOptions::validate() const {
 AutopilotLoop::AutopilotLoop(const Controller& controller,
                              AutopilotOptions options)
     : controller_{&controller}, options_{std::move(options)} {
-  if (options_.derive_demand_window) {
-    options_.policy.demand_window_s =
-        options_.estimator.half_life_s / std::log(2.0);
-  }
+  options_.policy.demand_window_s =
+      options_.estimator.half_life_s / std::log(2.0);
   options_.validate();
 }
 
-namespace {
-
-std::uint32_t k_for_assignment(const Controller& controller,
-                               const ModeAssignment& assignment) {
-  std::uint32_t k = 0;
-  for (PodMode mode : assignment.pod_modes) {
-    k = std::max(k, controller.k_for(mode));
+std::vector<Workload> epoch_buckets(const Workload& flows, double epoch_s,
+                                    double duration_s) {
+  const auto epochs =
+      static_cast<std::size_t>(std::ceil(duration_s / epoch_s - 1e-12));
+  std::vector<Workload> bucket(std::max<std::size_t>(1, epochs));
+  for (const Flow& f : flows) {
+    const auto e = static_cast<std::size_t>(f.start_s / epoch_s);
+    bucket[std::min(e, bucket.size() - 1)].push_back(f);
   }
-  return k;
+  return bucket;
 }
+
+namespace {
 
 // Unique server pairs of a flow list, sorted — the tracked-pair set for the
 // executor (run_fluid_with_conversion serves routes only for tracked pairs,
@@ -84,19 +85,14 @@ AutopilotResult AutopilotLoop::run(const Workload& flows,
       mx != nullptr ? &mx->counter("autopilot.conversions.not_converted")
                     : nullptr;
 
-  const std::size_t epochs = static_cast<std::size_t>(
-      std::ceil(duration_s / options_.epoch_s - 1e-12));
-  std::vector<Workload> bucket(std::max<std::size_t>(1, epochs));
-  for (const Flow& f : flows) {
-    const auto e = static_cast<std::size_t>(f.start_s / options_.epoch_s);
-    bucket[std::min(e, bucket.size() - 1)].push_back(f);
-  }
+  const std::vector<Workload> bucket =
+      epoch_buckets(flows, options_.epoch_s, duration_s);
 
   TrafficMatrixEstimator estimator{layout, options_.estimator};
   const ReconfigPolicy policy{*controller_, options_.policy};
 
   CompiledMode current =
-      controller_->compile(initial, k_for_assignment(*controller_, initial));
+      controller_->compile(initial, controller_->k_for(initial));
   double last_conversion_s = -std::numeric_limits<double>::infinity();
   bool pending = false;
   ModeAssignment pending_target;
@@ -118,7 +114,7 @@ AutopilotResult AutopilotLoop::run(const Workload& flows,
       // Execute the conversion decided at the previous boundary while this
       // epoch's traffic rides through the transients.
       const CompiledMode target = controller_->compile(
-          pending_target, k_for_assignment(*controller_, pending_target));
+          pending_target, controller_->k_for(pending_target));
       ConversionExecOptions exec_opts = options_.exec;
       // Decorrelate control-channel draws across conversions.
       exec_opts.seed = options_.exec.seed + result.conversions_started;
@@ -137,25 +133,20 @@ AutopilotResult AutopilotLoop::run(const Workload& flows,
       ++result.conversions_started;
       if (report.outcome == ConversionOutcome::kConverted) {
         current = controller_->compile(
-            target.assignment(),
-            k_for_assignment(*controller_, target.assignment()));
+            target.assignment(), controller_->k_for(target.assignment()));
         ++result.conversions_committed;
         obs::add(m_committed);
       } else {
         // Partial / rolled back: the fabric sits at the last checkpoint.
         current = controller_->compile(
             report.terminal_assignment,
-            k_for_assignment(*controller_, report.terminal_assignment));
+            controller_->k_for(report.terminal_assignment));
         obs::add(m_not_committed);
       }
       result.conversions.push_back(std::move(report));
       pending = false;
     } else if (!epoch_flows.empty()) {
-      FluidSimulator sim{current.graph(),
-                         [&current](NodeId src, NodeId dst, std::uint32_t) {
-                           return current.paths().server_paths(src, dst);
-                         },
-                         fluid_opts};
+      FluidSimulator sim{current.graph(), path_provider(current), fluid_opts};
       served = sim.run(epoch_flows);
     }
 

@@ -40,13 +40,12 @@ namespace flattree {
 
 struct AutopilotOptions {
   TrafficMatrixEstimatorOptions estimator{};
+  // policy.demand_window_s is not read: the loop always overwrites it with
+  // the estimator's effective averaging window (half_life / ln 2), so the
+  // byte forecast is calibrated to the decay actually in use.
   ReconfigPolicyOptions policy{};
   ConversionExecOptions exec{};
   double epoch_s{1.0};  // decision cadence
-  // When true (default), policy.demand_window_s is overwritten with the
-  // estimator's effective averaging window (half_life / ln 2) so the byte
-  // forecast is calibrated to the decay actually in use.
-  bool derive_demand_window{true};
   // autopilot.* metrics (epochs, decisions by kind, conversions by outcome,
   // served-flow counters). Commutative updates only.
   obs::ObsSink sink{};
@@ -89,6 +88,14 @@ struct AutopilotResult {
   std::uint32_t conversions_committed{0};  // outcome == kConverted
   ModeAssignment final_assignment;
 };
+
+// The loop's epoch partition of a workload: flow i lands in epoch
+// floor(start_s / epoch_s), clamped into ceil(duration_s / epoch_s) buckets
+// (at least one). Static arms served on the same buckets compare
+// apples-to-apples with the loop.
+[[nodiscard]] std::vector<Workload> epoch_buckets(const Workload& flows,
+                                                  double epoch_s,
+                                                  double duration_s);
 
 class AutopilotLoop {
  public:

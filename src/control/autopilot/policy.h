@@ -47,8 +47,9 @@ struct ReconfigPolicyOptions {
   double idle_pod_bytes{1.0};       // Pods below this keep their mode
   // Demand-mass -> byte-forecast conversion: mass / demand_window_s is the
   // estimated rate; the synthetic workload carries rate * horizon_s bytes
-  // per matrix entry. AutopilotLoop wires demand_window_s to the
-  // estimator's effective window (half_life / ln 2).
+  // per matrix entry. AutopilotLoop always overwrites demand_window_s
+  // with the estimator's effective window (half_life / ln 2); the value
+  // set here only matters when the policy is driven directly.
   double demand_window_s{3.0};
   double horizon_s{1.0};            // prediction horizon
   std::uint32_t flows_per_entry{2};

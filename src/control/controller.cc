@@ -56,6 +56,12 @@ RepairApplication CompiledMode::apply_repair(
   return application;
 }
 
+PathProvider path_provider(const CompiledMode& mode) {
+  return [&mode](NodeId src, NodeId dst, std::uint32_t) {
+    return mode.paths().server_paths(src, dst);
+  };
+}
+
 Controller::Controller(FlatTree tree, ControllerOptions options)
     : tree_{std::move(tree)}, options_{options} {}
 
@@ -66,6 +72,12 @@ std::uint32_t Controller::k_for(PodMode mode) const {
     case PodMode::kClos: return options_.k_clos;
   }
   return options_.k_global;
+}
+
+std::uint32_t Controller::k_for(const ModeAssignment& assignment) const {
+  std::uint32_t k = 0;
+  for (PodMode mode : assignment.pod_modes) k = std::max(k, k_for(mode));
+  return k;
 }
 
 CompiledMode Controller::compile(const ModeAssignment& assignment,

@@ -27,6 +27,7 @@
 #include "obs/sink.h"
 #include "routing/ksp.h"
 #include "routing/rules.h"
+#include "sim/fluid.h"
 
 namespace flattree {
 
@@ -125,6 +126,10 @@ class CompiledMode {
   StateCounts states_{};
 };
 
+// The fluid simulator's route source for a compiled mode: its path cache's
+// server paths. The provider refers to `mode`, which must outlive it.
+[[nodiscard]] PathProvider path_provider(const CompiledMode& mode);
+
 struct ControllerOptions {
   std::uint32_t k_global{8};
   std::uint32_t k_local{8};
@@ -177,6 +182,8 @@ class Controller {
 
   // k for a uniform mode, per the per-mode options.
   [[nodiscard]] std::uint32_t k_for(PodMode mode) const;
+  // k for an assignment: the largest k any of its Pods' modes uses.
+  [[nodiscard]] std::uint32_t k_for(const ModeAssignment& assignment) const;
 
   [[nodiscard]] CompiledMode compile(const ModeAssignment& assignment,
                                      std::uint32_t k) const;

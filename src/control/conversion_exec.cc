@@ -1600,4 +1600,44 @@ std::vector<Path> conversion_paths_for(const ExecutionReport& report,
   return {};
 }
 
+std::vector<std::pair<NodeId, NodeId>> workload_pairs(const Graph& graph,
+                                                      const Workload& flows) {
+  const std::vector<NodeId> servers = graph.servers();
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  pairs.reserve(flows.size());
+  for (const Flow& f : flows) {
+    pairs.emplace_back(servers[f.src], servers[f.dst]);
+  }
+  return pairs;
+}
+
+RepairRun run_fluid_with_repair(const Controller& controller,
+                                const ModeAssignment& assignment,
+                                const Workload& flows,
+                                const FailureSchedule& schedule,
+                                double repair_lag_s,
+                                const FluidOptions& options) {
+  if (schedule.events().empty()) {
+    throw std::invalid_argument("run_fluid_with_repair: empty schedule");
+  }
+  RepairRun out;
+  const std::uint32_t k = controller.k_for(assignment);
+  CompiledMode live = controller.compile(assignment, k);
+  FluidSimulator baseline{live.graph(), path_provider(live), options};
+  out.base = baseline.run(flows);
+  out.plan = controller.plan_repair(live, schedule.events().front().elements,
+                                    RepairOptions{});
+  const RepairPlan& plan = out.plan;
+  const CompiledMode pre = controller.compile(assignment, k);
+  const Graph sim_graph = graph_union(pre.graph(), *plan.graph);
+  FluidSimulator sim{sim_graph, path_provider(pre), options};
+  out.repair_lag_s = repair_lag_s >= 0 ? repair_lag_s : plan.total_s();
+  const RoutingRefresh refresh = [&live](const Graph&) {
+    return path_provider(live);
+  };
+  out.failed = sim.run_with_schedule(flows, schedule, out.repair_lag_s,
+                                     refresh, &out.sched);
+  return out;
+}
+
 }  // namespace flattree

@@ -401,4 +401,36 @@ void drive_packet_sim(PacketSim& sim, const ExecutionReport& report,
 [[nodiscard]] std::vector<Path> conversion_paths_for(
     const ExecutionReport& report, const Flow& flow, std::size_t point = 0);
 
+// The tracked pairs of a workload on `graph`: one (src, dst) server-node
+// pair per flow, in flow order (duplicates kept).
+[[nodiscard]] std::vector<std::pair<NodeId, NodeId>> workload_pairs(
+    const Graph& graph, const Workload& flows);
+
+// -- repair refresh -----------------------------------------------------------
+
+// What run_fluid_with_repair produced.
+struct RepairRun {
+  std::vector<FluidFlowResult> base;    // failure-free baseline run
+  std::vector<FluidFlowResult> failed;  // the scheduled run
+  RepairPlan plan;
+  double repair_lag_s{0.0};             // the lag the refresh landed after
+  ScheduleRunStats sched;
+};
+
+// The failure-recovery experiment with controller-driven repair (the
+// scenario runner's "repair" refresh; bench_failure_recovery's cells).
+// `flows` first run failure-free on `assignment` compiled at
+// controller.k_for(assignment); that run warms the live mode's path cache,
+// on which plan_repair's eviction statistics depend. plan_repair then turns
+// the live mode into the repaired mode for the schedule's first event's
+// failure set, and the scheduled run operates on the union of a fresh
+// pre-failure realization and the repaired graph: the rescue circuits are
+// present from the start but inert under max-min filling until the refresh
+// — landing `repair_lag_s` after each event, or the plan's priced delay
+// when negative — routes onto them.
+[[nodiscard]] RepairRun run_fluid_with_repair(
+    const Controller& controller, const ModeAssignment& assignment,
+    const Workload& flows, const FailureSchedule& schedule,
+    double repair_lag_s, const FluidOptions& options);
+
 }  // namespace flattree

@@ -29,6 +29,14 @@ const char* to_string(PodMode mode) {
   return "?";
 }
 
+std::string mode_letters(const ModeAssignment& assignment) {
+  std::string letters;
+  for (const PodMode m : assignment.pod_modes) {
+    letters += m == PodMode::kClos ? 'C' : (m == PodMode::kLocal ? 'L' : 'G');
+  }
+  return letters;
+}
+
 void FlatTreeParams::validate() const {
   clos.validate();
   if (clos.edge_per_pod % 2 != 0) {

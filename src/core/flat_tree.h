@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/converter.h"
@@ -41,6 +42,9 @@ struct ModeAssignment {
     return ModeAssignment{std::vector<PodMode>(pods, mode)};
   }
 };
+
+// One letter per Pod in Pod order, C(los) / L(ocal) / G(lobal): "CLGG".
+[[nodiscard]] std::string mode_letters(const ModeAssignment& assignment);
 
 struct FlatTreeParams {
   ClosParams clos;

@@ -366,12 +366,6 @@ std::vector<std::pair<bool, double>> fluid_outcomes(
 
 // ---- run: engine pipelines --------------------------------------------------
 
-PathProvider mode_provider(const CompiledMode& mode) {
-  return [&mode](NodeId src, NodeId dst, std::uint32_t) {
-    return mode.paths().server_paths(src, dst);
-  };
-}
-
 Controller make_controller(const CompiledScenario& c,
                            const RunOptions& options) {
   ControllerOptions opts;
@@ -404,12 +398,8 @@ FluidRun run_fluid(const CompiledScenario& c, const RunOptions& options) {
     const ConversionSpec& conv = c.spec.conversion;
     const CompiledMode from = controller->compile(c.assignment, k);
     const CompiledMode to = controller->compile(c.conversion_to, k);
-    const std::vector<NodeId> servers = from.graph().servers();
-    std::vector<std::pair<NodeId, NodeId>> pairs;
-    pairs.reserve(c.flows.size());
-    for (const Flow& f : c.flows) {
-      pairs.emplace_back(servers[f.src], servers[f.dst]);
-    }
+    const std::vector<std::pair<NodeId, NodeId>> pairs =
+        workload_pairs(from.graph(), c.flows);
     ConversionExecOptions exec_opts;
     exec_opts.staged = conv.staged;
     exec_opts.stage_checkpoints = conv.stage_checkpoints;
@@ -442,47 +432,32 @@ FluidRun run_fluid(const CompiledScenario& c, const RunOptions& options) {
     return out;
   }
 
-  // Repair refresh: bench_failure_recovery's exact pipeline. The baseline
-  // run warms the live mode's path cache (plan_repair's incremental
-  // eviction statistics depend on it), plan_repair mutates `live` into the
-  // repaired mode the refresh serves, and the scheduled run operates on the
-  // union of the pre-failure and repaired realizations.
+  // Repair refresh: the one pipeline bench_failure_recovery's cells run.
   if (!c.failures.empty() && c.spec.sim.refresh == RefreshMode::kRepair) {
-    CompiledMode live = controller->compile(c.assignment, k);
-    const FailureSet& set = c.failures.events().front().elements;
-    FluidSimulator baseline{live.graph(), mode_provider(live), fluid_opts};
-    const std::vector<FluidFlowResult> base_results = baseline.run(c.flows);
+    RepairRun run =
+        run_fluid_with_repair(*controller, c.assignment, c.flows, c.failures,
+                              c.spec.sim.repair_lag_s, fluid_opts);
     std::vector<double> base_fcts;
-    for (const FluidFlowResult& r : base_results) {
+    for (const FluidFlowResult& r : run.base) {
       if (r.completed) base_fcts.push_back(r.fct_s());
     }
-    const RepairPlan plan =
-        controller->plan_repair(live, set, RepairOptions{});
-    const CompiledMode pre = controller->compile(c.assignment, k);
-    const Graph sim_graph = graph_union(pre.graph(), *plan.graph);
-    FluidSimulator sim{sim_graph, mode_provider(pre), fluid_opts};
-    const double lag = c.spec.sim.repair_lag_s >= 0 ? c.spec.sim.repair_lag_s
-                                                    : plan.total_s();
-    const RoutingRefresh refresh = [&live](const Graph&) {
-      return mode_provider(live);
-    };
-    out.results =
-        sim.run_with_schedule(c.flows, c.failures, lag, refresh, &out.sched);
     double base_worst = 0;
     for (double f : base_fcts) base_worst = std::max(base_worst, f);
     double worst = 0;
-    for (const FluidFlowResult& r : out.results) {
+    for (const FluidFlowResult& r : run.failed) {
       if (r.completed) worst = std::max(worst, r.fct_s());
     }
+    out.results = std::move(run.failed);
+    out.sched = run.sched;
     out.extras.emplace_back("base_worst_fct_s", base_worst);
     out.extras.emplace_back("base_p99_fct_s", percentile(base_fcts, 99.0));
     out.extras.emplace_back("inflation",
                             base_worst > 0 ? worst / base_worst : 0.0);
-    out.extras.emplace_back("repair_lag_s", lag);
+    out.extras.emplace_back("repair_lag_s", run.repair_lag_s);
     out.extras.emplace_back("pairs_invalidated",
-                            static_cast<double>(plan.pairs_invalidated));
+                            static_cast<double>(run.plan.pairs_invalidated));
     out.extras.emplace_back("pairs_retained",
-                            static_cast<double>(plan.pairs_retained));
+                            static_cast<double>(run.plan.pairs_retained));
     return out;
   }
 
@@ -494,7 +469,7 @@ FluidRun run_fluid(const CompiledScenario& c, const RunOptions& options) {
   if (controller) {
     live.emplace(controller->compile(c.assignment, k));
     graph = &live->graph();
-    provider = mode_provider(*live);
+    provider = path_provider(*live);
   } else {
     cache = std::make_shared<PathCache>(*c.base_graph, k);
     cache->attach_obs(options.sink);
@@ -605,12 +580,7 @@ std::string run_autopilot(const CompiledScenario& c, const RunOptions& options,
   result.extras.emplace_back("ap_conversions_started", r.conversions_started);
   result.extras.emplace_back("ap_conversions_committed",
                              r.conversions_committed);
-  std::string final_modes;
-  for (const PodMode m : r.final_assignment.pod_modes) {
-    final_modes +=
-        m == PodMode::kClos ? 'C' : (m == PodMode::kLocal ? 'L' : 'G');
-  }
-  return final_modes;
+  return mode_letters(r.final_assignment);
 }
 
 // ---- run: SLOs + row --------------------------------------------------------

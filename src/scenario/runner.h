@@ -20,11 +20,13 @@
 //
 // Engine pipelines (SimSpec::engine x scenario content):
 //   fluid                   FluidSimulator::run
-//   fluid + failures        run_with_schedule; refresh "repair" replays
-//                           bench_failure_recovery's exact pipeline
-//                           (baseline run, Controller::plan_repair, union
-//                           graph, repaired-mode refresh) — pinned
-//                           byte-identical by tests/test_scenario_diff.cc;
+//   fluid + failures        run_with_schedule; refresh "repair" calls
+//                           run_fluid_with_repair, the same function
+//                           bench_failure_recovery's cells call (baseline
+//                           run, Controller::plan_repair, union graph,
+//                           repaired-mode refresh) — pinned bit for bit
+//                           against an inlined copy of the bench cell by
+//                           tests/test_scenario_diff.cc;
 //                           "reroute" re-solves a PathCache per refresh;
 //                           "none" is capacity-only
 //   fluid + conversion      ConversionExecutor::execute[_under_storm] +

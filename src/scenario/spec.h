@@ -185,7 +185,7 @@ enum class Engine : std::uint8_t {
 };
 
 enum class RefreshMode : std::uint8_t {
-  kRepair,   // Controller::plan_repair, bench_failure_recovery's pipeline
+  kRepair,   // run_fluid_with_repair: Controller::plan_repair + union graph
   kReroute,  // fresh PathCache on the degraded graph at every refresh
   kNone,     // capacity changes only, no rerouting
 };
