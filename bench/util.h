@@ -1,5 +1,6 @@
 // Shared helpers for the benchmark binaries: routing providers, workload ->
-// LP-instance plumbing, statistics, and fixed-width table printing. Each
+// LP-instance plumbing, statistics, the testbed flat-tree, the live-conversion
+// cell, the route-link picker and fixed-width table printing. Each
 // bench binary reproduces one table or figure of the paper and prints the
 // same rows/series the paper reports, plus the scaling notes from
 // EXPERIMENTS.md.
