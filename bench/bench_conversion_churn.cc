@@ -83,8 +83,8 @@ void run(int argc, char** argv) {
               exec_opts.seed = runner.seed();
               exec_opts.sink = runner.obs();
               return bench::run_conversion_cell(controller, flows, exec_opts,
-                                                nullptr, ConversionFaults{},
-                                                t0);
+                                                FailureSchedule{},
+                                                ConversionFaults{}, t0);
             });
       });
 

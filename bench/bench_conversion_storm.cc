@@ -190,10 +190,9 @@ void run(int argc, char** argv) {
               if (sc.kill_primary) {
                 faults.kill_primary_at_s = kill_at[tolerant ? 0 : 1];
               }
-              const FailureSchedule calm;
-              return bench::run_conversion_cell(controller, flows, exec_opts,
-                                                sc.storm ? &storm : &calm,
-                                                faults, t0);
+              return bench::run_conversion_cell(
+                  controller, flows, exec_opts,
+                  sc.storm ? storm : FailureSchedule{}, faults, t0);
             });
       });
 

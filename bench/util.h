@@ -325,8 +325,8 @@ inline FlatTreeParams testbed_params() {
 }
 
 // One live-conversion cell: every Pod converts Clos -> global at `t0`
-// while `flows` run. The executor (exec_opts; `storm` null = a calm
-// fabric, else execute_under_storm) tracks the workload's pairs; the flows
+// while `flows` run, under the link churn in `storm` (empty = a calm
+// fabric). The executor (exec_opts) tracks the workload's pairs; the flows
 // run once undisturbed on the outgoing mode and once through every
 // transient topology of the execution, and a packet-level spot check (the
 // first 8 flows, 2 MB each) rides the same timeline. The fluid runs share
@@ -343,7 +343,7 @@ struct ConversionCell {
 
 inline ConversionCell run_conversion_cell(
     const Controller& controller, const Workload& flows,
-    const ConversionExecOptions& exec_opts, const FailureSchedule* storm,
+    const ConversionExecOptions& exec_opts, const FailureSchedule& storm,
     const ConversionFaults& faults, double t0) {
   const CompiledMode from = controller.compile_uniform(PodMode::kClos);
   const CompiledMode to = controller.compile_uniform(PodMode::kGlobal);
@@ -351,10 +351,7 @@ inline ConversionCell run_conversion_cell(
       workload_pairs(from.graph(), flows);
   const ConversionExecutor executor{controller, exec_opts};
   ConversionCell out;
-  out.report =
-      storm == nullptr
-          ? executor.execute(from, to, pairs, faults, t0)
-          : executor.execute_under_storm(from, to, pairs, *storm, faults, t0);
+  out.report = executor.execute_under_storm(from, to, pairs, storm, faults, t0);
 
   FluidOptions fluid_opts;
   fluid_opts.sink = exec_opts.sink;

@@ -414,11 +414,8 @@ FluidRun run_fluid(const CompiledScenario& c, const RunOptions& options) {
     exec_opts.sink = options.sink;
     const ConversionFaults control_faults = build_control_faults(c);
     const ConversionExecutor executor{*controller, exec_opts};
-    const ExecutionReport report =
-        c.failures.empty()
-            ? executor.execute(from, to, pairs, control_faults, conv.at_s)
-            : executor.execute_under_storm(from, to, pairs, c.failures,
-                                           control_faults, conv.at_s);
+    const ExecutionReport report = executor.execute_under_storm(
+        from, to, pairs, c.failures, control_faults, conv.at_s);
     out.results =
         run_fluid_with_conversion(report, c.flows, fluid_opts, &out.sched);
     out.extras.emplace_back("conv_finish_s", report.finish_s);
